@@ -16,9 +16,14 @@
 // bench/baselines/BENCH_engine.json and is referenced from EXPERIMENTS.md.
 // Speedups are meaningful only on multi-core hosts; the JSON records
 // hardware_threads so baselines from different machines compare fairly.
+//
+// Runs use the paper's default of 4 broadcast trees per source. The
+// process's peak RSS (VmHWM) is recorded in the JSON and gated: exceeding
+// kPeakRssGateMb prints RSS GATE EXCEEDED and exits nonzero.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,6 +35,27 @@ namespace r2c2::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Peak-RSS bound for the default 16x16x16 torus with 4 trees: room for the
+// 64 MB child-bitmap FIB, none for trees stored at ~10 B per node per tree
+// (about 513 MB at this size).
+constexpr double kPeakRssGateMb = 512.0;
+
+// Peak resident set size of this process in MB (VmHWM), or -1 if unknown.
+double peak_rss_mb() {
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1.0;
+  char line[256];
+  double mb = -1.0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      mb = std::atof(line + 6) / 1024.0;
+      break;
+    }
+  }
+  std::fclose(f);
+  return mb;
+}
 
 struct ModeResult {
   std::string label;
@@ -45,7 +71,6 @@ ModeResult run_mode(const char* label, const Topology& topo, const Router& route
                     const std::vector<FlowArrival>& arrivals, int shards, int workers) {
   sim::R2c2SimConfig cfg;
   cfg.route_alg = RouteAlg::kDor;
-  cfg.broadcast_trees = 1;  // 4096-node trees are ~165 MB each; one is plenty
   cfg.recompute_interval = 500 * kNsPerUs;
   cfg.engine_shards = shards;
   cfg.engine_workers = workers;
@@ -127,6 +152,12 @@ int run() {
   }
   std::printf("\nsharded runs bit-identical across worker counts: %s\n",
               identical ? "yes" : "NO");
+  const double rss_mb = peak_rss_mb();
+  const bool rss_ok = rss_mb <= kPeakRssGateMb;
+  std::printf("peak RSS: %.1f MB (gate %.0f MB)\n", rss_mb, kPeakRssGateMb);
+  if (!rss_ok) {
+    std::fprintf(stderr, "RSS GATE EXCEEDED: %.1f MB > %.0f MB\n", rss_mb, kPeakRssGateMb);
+  }
 
   const char* out_path = std::getenv("R2C2_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_engine.json";
@@ -137,6 +168,9 @@ int run() {
   }
   std::fprintf(f, "{\n  \"bench\": \"engine\",\n  \"scale\": %g,\n", scale);
   std::fprintf(f, "  \"nodes\": %zu,\n  \"flows\": %zu,\n", topo.num_nodes(), n_flows);
+  std::fprintf(f, "  \"broadcast_trees\": %d,\n", sim::R2c2SimConfig{}.broadcast_trees);
+  std::fprintf(f, "  \"peak_rss_mb\": %.1f,\n  \"peak_rss_gate_mb\": %.0f,\n", rss_mb,
+               kPeakRssGateMb);
   std::fprintf(f, "  \"hardware_threads\": %d,\n", hardware);
   std::fprintf(f, "  \"identical_across_workers\": %s,\n", identical ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");
@@ -154,7 +188,7 @@ int run() {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
-  return identical ? 0 : 1;
+  return identical && rss_ok ? 0 : 1;
 }
 
 }  // namespace

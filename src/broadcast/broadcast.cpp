@@ -1,7 +1,7 @@
 #include "broadcast/broadcast.h"
 
 #include <algorithm>
-#include <deque>
+#include <numeric>
 #include <stdexcept>
 
 namespace r2c2 {
@@ -11,65 +11,75 @@ BroadcastTrees::BroadcastTrees(const Topology& topo, int trees_per_source)
   if (!topo.finalized()) throw std::logic_error("topology must be finalized");
   if (trees_per_source < 1) throw std::invalid_argument("need at least one tree per source");
   const std::size_t n = topo.num_nodes();
-  trees_.resize(n * static_cast<std::size_t>(trees_per_source));
+  const std::size_t max_deg = static_cast<std::size_t>(topo.max_degree());
+  row_bytes_ = (max_deg + 7) / 8;
+  slots_per_node_ = row_bytes_ * 8;
+  fib_.assign(n * n * static_cast<std::size_t>(trees_per_source) * row_bytes_, 0);
 
-  std::vector<NodeId> parent(n);
-  std::deque<NodeId> queue;
+  // Per-node table, node x port: the neighbor behind each port and the
+  // slot its bit lives in. Slots order a node's ports by neighbor id
+  // (stable on port), and every port to the same neighbor maps to the slot
+  // of the lowest such port, the one find_link picks.
+  struct Port {
+    NodeId to;
+    std::uint32_t slot;
+  };
+  std::vector<std::uint32_t> degree(n);
+  std::vector<Port> ports(n * max_deg);
+  slot_links_.assign(n * slots_per_node_, kInvalidLink);
+  std::vector<std::uint32_t> order;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto out = topo.out_links(u);
+    const std::size_t deg = out.size();
+    degree[u] = static_cast<std::uint32_t>(deg);
+    Port* p = ports.data() + u * max_deg;
+    for (std::size_t j = 0; j < deg; ++j) p[j].to = topo.link(out[j]).to;
+    order.resize(deg);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [p](std::uint32_t a, std::uint32_t b) { return p[a].to < p[b].to; });
+    std::uint32_t first = 0;
+    for (std::size_t k = 0; k < deg; ++k) {
+      if (k == 0 || p[order[k]].to != p[order[k - 1]].to) first = static_cast<std::uint32_t>(k);
+      p[order[k]].slot = first;
+      slot_links_[u * slots_per_node_ + k] = out[order[k]];
+    }
+  }
+
+  // BFS per (src, tree) with the neighbor order rotated by the tree id:
+  // different trees attach nodes through different parents, spreading
+  // forwarding load. A node's bit is set in its parent's row. `seen` is
+  // epoch-stamped so no per-tree reset is needed.
+  std::vector<std::uint32_t> seen(n, 0);
+  std::vector<NodeId> queue(n);
+  std::uint32_t epoch = 0;
   for (NodeId src = 0; src < n; ++src) {
     for (int t = 0; t < trees_per_source; ++t) {
-      Tree& tree = trees_[static_cast<std::size_t>(src) * trees_per_source_ + t];
-      tree.depth.assign(n, 0xffff);
-      parent.assign(n, kInvalidNode);
-      // BFS with neighbor order rotated by the tree id: different trees
-      // attach nodes through different parents, spreading forwarding load.
-      queue.clear();
-      queue.push_back(src);
-      tree.depth[src] = 0;
-      while (!queue.empty()) {
-        const NodeId u = queue.front();
-        queue.pop_front();
-        const auto out = topo.out_links(u);
-        const std::size_t deg = out.size();
-        for (std::size_t i = 0; i < deg; ++i) {
-          const std::size_t j = (i + static_cast<std::size_t>(t)) % deg;
-          const NodeId v = topo.link(out[j]).to;
-          if (tree.depth[v] == 0xffff) {
-            tree.depth[v] = static_cast<std::uint16_t>(tree.depth[u] + 1);
-            parent[v] = u;
-            queue.push_back(v);
+      std::uint8_t* rows =
+          fib_.data() + (static_cast<std::size_t>(src) * trees_per_source_ + t) * n * row_bytes_;
+      ++epoch;
+      seen[src] = epoch;
+      queue[0] = src;
+      std::size_t head = 0, tail = 1;
+      while (head < tail) {
+        const NodeId u = queue[head++];
+        const std::uint32_t deg = degree[u];
+        if (deg == 0) continue;
+        const Port* p = ports.data() + u * max_deg;
+        std::uint8_t* row = rows + u * row_bytes_;
+        std::uint32_t j = static_cast<std::uint32_t>(t) % deg;
+        for (std::uint32_t i = 0; i < deg; ++i) {
+          const NodeId v = p[j].to;
+          if (seen[v] != epoch) {
+            seen[v] = epoch;
+            queue[tail++] = v;
+            row[p[j].slot >> 3] |= static_cast<std::uint8_t>(1u << (p[j].slot & 7));
           }
+          if (++j == deg) j = 0;
         }
-      }
-      // Build CSR children lists from the parent array.
-      tree.child_offset.assign(n + 1, 0);
-      for (NodeId v = 0; v < n; ++v) {
-        if (parent[v] != kInvalidNode) ++tree.child_offset[parent[v] + 1];
-      }
-      for (std::size_t i = 0; i < n; ++i) tree.child_offset[i + 1] += tree.child_offset[i];
-      tree.child_nodes.assign(n - 1, kInvalidNode);
-      std::vector<std::uint32_t> cursor(tree.child_offset.begin(), tree.child_offset.end() - 1);
-      for (NodeId v = 0; v < n; ++v) {
-        if (parent[v] != kInvalidNode) tree.child_nodes[cursor[parent[v]]++] = v;
-      }
-      // Unreachable nodes (possible when the topology carries failed,
-      // isolated nodes) keep the 0xffff sentinel and do not count.
-      tree.height = 0;
-      for (const std::uint16_t d : tree.depth) {
-        if (d != 0xffff) tree.height = std::max(tree.height, static_cast<int>(d));
       }
     }
   }
 }
-
-std::span<const NodeId> BroadcastTrees::children(NodeId at, NodeId src, int t) const {
-  const Tree& tr = tree(src, t);
-  return {tr.child_nodes.data() + tr.child_offset[at], tr.child_offset[at + 1] - tr.child_offset[at]};
-}
-
-int BroadcastTrees::depth_of(NodeId src, int t, NodeId node) const {
-  return tree(src, t).depth[node];
-}
-
-int BroadcastTrees::height(NodeId src, int t) const { return tree(src, t).height; }
 
 }  // namespace r2c2

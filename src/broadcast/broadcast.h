@@ -10,10 +10,19 @@
 // id) so senders can load-balance broadcast traffic and route around
 // failures. Forwarding state is a FIB indexed by <src-address, tree-id>
 // that yields the set of next hops (the node's children in that tree).
+//
+// FIB layout: one child bitmap of ceil(max_degree / 8) bytes per
+// (src, tree, node), so n^2 * trees * ceil(max_degree / 8) bytes in all
+// (1 byte per entry on a torus). Bit k of a node's row stands for its k-th
+// port in ascending neighbor order (stable on port number), and a node
+// x slot table turns a set bit straight into the out-link it names. Depth
+// is not stored: in a shortest-path tree it is topology().distance().
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <span>
+#include <iterator>
 #include <vector>
 
 #include "common/types.h"
@@ -32,14 +41,78 @@ class BroadcastTrees {
   const Topology& topology() const { return topo_; }
   int trees_per_source() const { return trees_per_source_; }
 
-  // FIB lookup: children of `at` in the tree <src, tree>. A broadcast
-  // packet arriving at `at` is forwarded to each returned node.
-  std::span<const NodeId> children(NodeId at, NodeId src, int tree) const;
+  // The out-links of one node toward its children in one tree, in
+  // ascending child-node order. Each is the link find_link(at, child)
+  // returns (the lowest port to that neighbor); the child is link(l).to.
+  class ChildLinks {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = LinkId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const LinkId*;
+      using reference = LinkId;
 
-  // Depth of `node` in tree <src, tree> (== BFS distance from src).
-  int depth_of(NodeId src, int tree, NodeId node) const;
-  // Tree height: the broadcast time in hops.
-  int height(NodeId src, int tree) const;
+      iterator() = default;
+      LinkId operator*() const {
+        return links_[byte_ * 8 + static_cast<std::size_t>(std::countr_zero(bits_))];
+      }
+      iterator& operator++() {
+        bits_ &= static_cast<unsigned>(bits_ - 1);
+        skip_empty();
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator& o) const { return byte_ == o.byte_ && bits_ == o.bits_; }
+
+     private:
+      friend class ChildLinks;
+      iterator(const std::uint8_t* row, const LinkId* links, std::size_t bytes, std::size_t at)
+          : row_(row), links_(links), bytes_(bytes), byte_(at), bits_(at < bytes ? row[at] : 0u) {
+        skip_empty();
+      }
+      void skip_empty() {
+        while (bits_ == 0 && byte_ < bytes_) {
+          if (++byte_ < bytes_) bits_ = row_[byte_];
+        }
+      }
+
+      const std::uint8_t* row_ = nullptr;
+      const LinkId* links_ = nullptr;
+      std::size_t bytes_ = 0;
+      std::size_t byte_ = 0;
+      unsigned bits_ = 0;
+    };
+
+    iterator begin() const { return {row_, links_, bytes_, 0}; }
+    iterator end() const { return {row_, links_, bytes_, bytes_}; }
+
+   private:
+    friend class BroadcastTrees;
+    ChildLinks(const std::uint8_t* row, const LinkId* links, std::size_t bytes)
+        : row_(row), links_(links), bytes_(bytes) {}
+
+    const std::uint8_t* row_;
+    const LinkId* links_;
+    std::size_t bytes_;
+  };
+
+  // FIB lookup: links toward the children of `at` in the tree <src, tree>.
+  // A broadcast packet arriving at `at` is forwarded on each of them.
+  // Allocation-free.
+  ChildLinks children(NodeId at, NodeId src, int tree) const {
+    const std::size_t n = topo_.num_nodes();
+    const std::size_t entry =
+        (static_cast<std::size_t>(src) * static_cast<std::size_t>(trees_per_source_) +
+         static_cast<std::size_t>(tree)) * n + at;
+    return {fib_.data() + entry * row_bytes_,
+            slot_links_.data() + static_cast<std::size_t>(at) * slots_per_node_, row_bytes_};
+  }
 
   // Total traffic of one broadcast: (n - 1) tree edges, each carrying one
   // 16-byte packet ("with a 512-node rack, each broadcast results in 8 KB
@@ -49,22 +122,14 @@ class BroadcastTrees {
   }
 
  private:
-  struct Tree {
-    // CSR of children lists, indexed by node.
-    std::vector<NodeId> child_nodes;
-    std::vector<std::uint32_t> child_offset;
-    std::vector<std::uint16_t> depth;
-    int height = 0;
-  };
-
-  const Tree& tree(NodeId src, int t) const {
-    return trees_[static_cast<std::size_t>(src) * static_cast<std::size_t>(trees_per_source_) +
-                  static_cast<std::size_t>(t)];
-  }
-
   const Topology& topo_;
   int trees_per_source_;
-  std::vector<Tree> trees_;
+  std::size_t row_bytes_ = 0;       // ceil(max_degree / 8)
+  std::size_t slots_per_node_ = 0;  // row_bytes_ * 8
+  // Node x slot: out-links of each node in ascending neighbor order.
+  std::vector<LinkId> slot_links_;
+  // (src, tree, node) x row_bytes_ child bitmaps.
+  std::vector<std::uint8_t> fib_;
 };
 
 }  // namespace r2c2

@@ -177,8 +177,9 @@ void R2c2Stack::on_control_packet(std::span<const std::uint8_t> bytes) {
 void R2c2Stack::fan_out(NodeId tree_src, std::uint8_t tree, std::span<const std::uint8_t> bytes) {
   if (!cb_.send_control) return;
   const int t = tree % std::max(1, ctx_.trees->trees_per_source());
-  for (const NodeId child : ctx_.trees->children(self_, tree_src, t)) {
-    cb_.send_control(child, std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+  const Topology& topo = ctx_.trees->topology();
+  for (const LinkId link : ctx_.trees->children(self_, tree_src, t)) {
+    cb_.send_control(topo.link(link).to, std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "obs/engine_gauges.h"
 #include "obs/scope.h"
@@ -12,10 +13,23 @@ namespace r2c2::sim {
 
 namespace {
 constexpr std::uint32_t kBcastWireBytes = 16;
+
+// Data packets carry their source route as one 3-bit port selector per hop
+// (Section 4.2), so no node may have more ports than 3 bits address.
+const Topology& require_route_ports(const Topology& topo) {
+  constexpr int kMaxPorts = 1 << kRouteBitsPerHop;
+  if (topo.max_degree() > kMaxPorts) {
+    throw std::invalid_argument(
+        "R2c2Sim: topology has a node with " + std::to_string(topo.max_degree()) +
+        " ports; the source route's 3-bit per-hop port selector (Section 4.2) addresses at most " +
+        std::to_string(kMaxPorts));
+  }
+  return topo;
 }
+}  // namespace
 
 R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig config)
-    : topo_(topo),
+    : topo_(require_route_ports(topo)),
       router_(router),
       config_(config),
       net_(engine_, topo, config.net),
@@ -448,19 +462,17 @@ void R2c2Sim::broadcast(const BroadcastMsg& base, NodeId origin, bool recovery) 
   }
   // Send one copy toward each child of the origin; copies fan out further
   // at every hop via the broadcast FIB.
-  for (const NodeId child : trees.children(origin, origin, msg.tree)) {
+  for (const LinkId link : trees.children(origin, origin, msg.tree)) {
     SimPacket pkt;
     pkt.type = msg.type;
     pkt.src = msg.src;
-    pkt.dst = child;
+    pkt.dst = trees.topology().link(link).to;
     pkt.wire_bytes = kBcastWireBytes;
     pkt.tree = msg.tree;
     pkt.bcast_src = origin;
     pkt.bcast_id = bcast_id;
     pkt.sent_at = engine_.now();
-    const LinkId link = topo_.find_link(origin, child);
-    assert(link != kInvalidLink);
-    net_.send_on_link(link, std::move(pkt));
+    net_.send_on_link(substrate_link(link), std::move(pkt));
   }
 }
 
@@ -470,12 +482,11 @@ void R2c2Sim::on_broadcast_copy(NodeId at, SimPacket&& pkt) {
   // rebuild may straddle two tree generations, in which case some nodes
   // see the copy twice (harmless: the pending entry is erased at zero) or
   // never — the post-recovery rebroadcast and the lease protocol heal both.
-  for (const NodeId child : cur_trees().children(at, pkt.bcast_src, pkt.tree)) {
+  const BroadcastTrees& trees = cur_trees();
+  for (const LinkId link : trees.children(at, pkt.bcast_src, pkt.tree)) {
     SimPacket copy = pkt;
-    copy.dst = child;
-    const LinkId link = topo_.find_link(at, child);
-    assert(link != kInvalidLink);
-    net_.send_on_link(link, std::move(copy));
+    copy.dst = trees.topology().link(link).to;
+    net_.send_on_link(substrate_link(link), std::move(copy));
   }
   if (shard_ctx()) {
     // pending_ is rack-global: record the arrival in the op log. Dedup

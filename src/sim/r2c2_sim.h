@@ -379,6 +379,11 @@ class R2c2Sim {
   const Topology& cur_topo() const { return cur_topo_ ? *cur_topo_ : topo_; }
   const Router& cur_router() const { return cur_router_ ? *cur_router_ : router_; }
   const BroadcastTrees& cur_trees() const { return cur_trees_ ? *cur_trees_ : trees_; }
+  // Substrate link carrying decision-plane link `plane` (identity while the
+  // pristine plane is in force).
+  LinkId substrate_link(LinkId plane) const {
+    return plane_link_map_.empty() ? plane : plane_link_map_[plane];
+  }
   LinkId reverse_link(LinkId link) const;
   LinkId cable_of(LinkId link) const;  // canonical id: min of both directions
   void start_fault_ticks();

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
 #include <vector>
 
 #include "broadcast/broadcast.h"
@@ -9,21 +9,31 @@
 namespace r2c2 {
 namespace {
 
-// Walks tree <src, t> from the root and returns (visited set, max depth).
-std::pair<std::set<NodeId>, int> walk_tree(const BroadcastTrees& trees, NodeId src, int t) {
-  std::set<NodeId> visited{src};
-  int max_depth = 0;
-  std::vector<std::pair<NodeId, int>> stack{{src, 0}};
+// Walks tree <src, t> from the root and returns each node's depth in it
+// (-1 for nodes the tree never reaches).
+std::vector<int> walk_tree(const BroadcastTrees& trees, NodeId src, int t) {
+  const Topology& topo = trees.topology();
+  std::vector<int> depth(topo.num_nodes(), -1);
+  depth[src] = 0;
+  std::vector<NodeId> stack{src};
   while (!stack.empty()) {
-    const auto [at, depth] = stack.back();
+    const NodeId at = stack.back();
     stack.pop_back();
-    max_depth = std::max(max_depth, depth);
-    for (const NodeId child : trees.children(at, src, t)) {
-      EXPECT_TRUE(visited.insert(child).second) << "node visited twice: not a tree";
-      stack.push_back({child, depth + 1});
+    for (const LinkId link : trees.children(at, src, t)) {
+      EXPECT_EQ(topo.link(link).from, at);
+      const NodeId child = topo.link(link).to;
+      EXPECT_EQ(depth[child], -1) << "node visited twice: not a tree";
+      depth[child] = depth[at] + 1;
+      stack.push_back(child);
     }
   }
-  return {visited, max_depth};
+  return depth;
+}
+
+// Tree height: the broadcast time in hops.
+int height(const BroadcastTrees& trees, NodeId src, int t) {
+  const std::vector<int> depth = walk_tree(trees, src, t);
+  return *std::max_element(depth.begin(), depth.end());
 }
 
 class BroadcastOnTopo : public ::testing::TestWithParam<std::vector<int>> {
@@ -36,9 +46,8 @@ class BroadcastOnTopo : public ::testing::TestWithParam<std::vector<int>> {
 TEST_P(BroadcastOnTopo, TreesSpanAllNodes) {
   for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
     for (int t = 0; t < trees_.trees_per_source(); ++t) {
-      const auto [visited, depth] = walk_tree(trees_, src, t);
-      EXPECT_EQ(visited.size(), topo_.num_nodes()) << "src " << src << " tree " << t;
-      (void)depth;
+      const std::vector<int> depth = walk_tree(trees_, src, t);
+      EXPECT_EQ(std::count(depth.begin(), depth.end(), -1), 0) << "src " << src << " tree " << t;
     }
   }
 }
@@ -47,14 +56,11 @@ TEST_P(BroadcastOnTopo, TreesAreShortestPath) {
   // Every node sits at its BFS distance from the source: the broadcast
   // time (tree height) is minimal (Section 3.2's optimization goal).
   for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+    const auto dist = topo_.distances_from(src);
     for (int t = 0; t < trees_.trees_per_source(); ++t) {
-      for (NodeId v = 0; v < topo_.num_nodes(); ++v) {
-        EXPECT_EQ(trees_.depth_of(src, t, v), topo_.distance(src, v));
-      }
-      EXPECT_EQ(trees_.height(src, t), topo_.distances_from(src).back() >= 0
-                                           ? *std::max_element(topo_.distances_from(src).begin(),
-                                                               topo_.distances_from(src).end())
-                                           : 0);
+      const std::vector<int> depth = walk_tree(trees_, src, t);
+      for (NodeId v = 0; v < topo_.num_nodes(); ++v) EXPECT_EQ(depth[v], dist[v]);
+      EXPECT_EQ(height(trees_, src, t), *std::max_element(dist.begin(), dist.end()));
     }
   }
 }
@@ -63,8 +69,9 @@ TEST_P(BroadcastOnTopo, ChildrenAreNeighbors) {
   for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
     for (int t = 0; t < trees_.trees_per_source(); ++t) {
       for (NodeId v = 0; v < topo_.num_nodes(); ++v) {
-        for (const NodeId child : trees_.children(v, src, t)) {
-          EXPECT_NE(topo_.find_link(v, child), kInvalidLink);
+        for (const LinkId link : trees_.children(v, src, t)) {
+          EXPECT_EQ(topo_.link(link).from, v);
+          EXPECT_EQ(topo_.find_link(v, topo_.link(link).to), link);
         }
       }
     }
@@ -84,7 +91,7 @@ TEST(Broadcast, MultipleTreesDiffer) {
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
     const auto c0 = trees.children(v, 0, 0);
     const auto c1 = trees.children(v, 0, 1);
-    if (std::vector<NodeId>(c0.begin(), c0.end()) != std::vector<NodeId>(c1.begin(), c1.end())) {
+    if (std::vector<LinkId>(c0.begin(), c0.end()) != std::vector<LinkId>(c1.begin(), c1.end())) {
       ++differing_nodes;
     }
   }
@@ -105,7 +112,7 @@ TEST(Broadcast, CloserNodesReceiveEarlierThanHeight) {
   const BroadcastTrees trees(topo, 1);
   // A 512-node 3D torus has diameter 12: every node hears a broadcast
   // within 12 hops.
-  EXPECT_EQ(trees.height(0, 0), 12);
+  EXPECT_EQ(height(trees, 0, 0), 12);
 }
 
 TEST(Broadcast, SwitchedClosBroadcastCost) {

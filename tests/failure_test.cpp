@@ -161,8 +161,9 @@ TEST(Degraded, BroadcastTreesAvoidFailedLinks) {
       while (!stack.empty()) {
         const NodeId at = stack.back();
         stack.pop_back();
-        for (const NodeId child : trees.children(at, src, t)) {
-          EXPECT_NE(degraded.find_link(at, child), kInvalidLink);
+        for (const LinkId link : trees.children(at, src, t)) {
+          EXPECT_EQ(degraded.link(link).from, at);
+          const NodeId child = degraded.link(link).to;
           ++covered;
           stack.push_back(child);
         }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/stats.h"
 #include "sim/r2c2_sim.h"
@@ -32,6 +34,32 @@ TEST(R2c2Sim, SingleFlowAggregatesMultipathBandwidth) {
   ASSERT_TRUE(m.flows[0].finished());
   EXPECT_GT(m.flows[0].throughput_bps(), 1.5 * 9.5e9);
   EXPECT_LE(m.flows[0].throughput_bps(), 2.0 * 9.5e9 + 1e8);
+}
+
+TEST(R2c2Sim, RejectsSwitchesWiderThanThreeBitPorts) {
+  // Section 4.2: a data packet's source route holds one 3-bit port
+  // selector per hop. The default ClosSpec has 32-port switches, so the
+  // constructor must refuse it rather than fail on the first packet.
+  const Topology wide = make_folded_clos(ClosSpec{});
+  ASSERT_GT(wide.max_degree(), 8);
+  const Router wide_router(wide);
+  try {
+    R2c2Sim sim(wide, wide_router, {});
+    FAIL() << "R2c2Sim accepted a topology with " << wide.max_degree() << "-port nodes";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("3-bit"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("4.2"), std::string::npos) << e.what();
+  }
+
+  // Exactly 8 ports still fit: a 48-server Clos carries a flow end to end.
+  const Topology clos = make_folded_clos({.servers_per_leaf = 6, .num_leaves = 8, .num_spines = 2});
+  ASSERT_EQ(clos.max_degree(), 8);
+  const Router router(clos);
+  R2c2Sim sim(clos, router, {});
+  sim.add_flows(single_flow(0, 47, 64 * 1024));
+  const RunMetrics m = sim.run();
+  ASSERT_EQ(m.flows.size(), 1u);
+  EXPECT_TRUE(m.flows[0].finished());
 }
 
 TEST(R2c2Sim, SinglePathFlowCapsAtLineRate) {

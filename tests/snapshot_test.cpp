@@ -393,9 +393,10 @@ TEST(SimSnapshot, TruncationAndBitFlipSweepRejectedWithoutPartialMutation) {
 // Straight-through run vs save-at-k / load-in-fresh-context / resume: the
 // per-tick digest trail, the final state digest and the full RunMetrics must
 // be bit-identical — fault-injection and GA-selection scenarios, 1 and 4
-// threads.
+// threads. The scenario name is a std::string, not a const char*, so the
+// printed parameter (and hence the registered test name) carries no address.
 
-class ResumeBitIdentical : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+class ResumeBitIdentical : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(ResumeBitIdentical, DigestsAndMetricsMatchStraightRun) {
   const auto& [name, threads] = GetParam();
@@ -446,11 +447,12 @@ TEST_P(ResumeBitIdentical, DigestsAndMetricsMatchStraightRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, ResumeBitIdentical,
-                         ::testing::Values(std::make_pair("fault", 1),
-                                           std::make_pair("fault", 4),
-                                           std::make_pair("ga", 1), std::make_pair("ga", 4)),
+                         ::testing::Values(std::make_pair(std::string("fault"), 1),
+                                           std::make_pair(std::string("fault"), 4),
+                                           std::make_pair(std::string("ga"), 1),
+                                           std::make_pair(std::string("ga"), 4)),
                          [](const auto& info) {
-                           return std::string(info.param.first) + "_t" +
+                           return info.param.first + "_t" +
                                   std::to_string(info.param.second);
                          });
 
