@@ -10,6 +10,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace r2c2::obs {
 
@@ -37,6 +38,21 @@ inline void publish_engine_lanes(MetricsRegistry& m, std::span<const EngineLaneS
     m.gauge(prefix + "mailbox_posted").set(static_cast<double>(lanes[i].mailbox_posted));
     m.gauge(prefix + "mailbox_peak").set(static_cast<double>(lanes[i].mailbox_peak));
   }
+}
+
+// Publishes engine.kind.<name>.events: events executed per event kind,
+// summed over lanes. `names[k]` names kind k (null: not published). The
+// counts are compiled out with R2C2_TRACING=OFF, and so is this.
+inline void publish_engine_kinds([[maybe_unused]] MetricsRegistry& m,
+                                 [[maybe_unused]] std::span<const char* const> names,
+                                 [[maybe_unused]] std::span<const std::uint64_t> events) {
+#if R2C2_TRACING_ENABLED
+  for (std::size_t k = 0; k < names.size() && k < events.size(); ++k) {
+    if (names[k] == nullptr) continue;
+    m.gauge(std::string("engine.kind.") + names[k] + ".events")
+        .set(static_cast<double>(events[k]));
+  }
+#endif
 }
 
 }  // namespace r2c2::obs

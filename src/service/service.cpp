@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -328,44 +329,25 @@ SloReport ServiceLayer::report() const {
 
 // --- Snapshot seam --------------------------------------------------------
 
-sim::Engine::Action ServiceLayer::rebuild_service_event(const sim::EventDesc& desc) {
-  if (desc.kind != sim::kEvService) {
-    throw snapshot::SnapshotError("service asked to rebuild a non-service event");
+void ServiceLayer::on_service_event(const sim::EventDesc& ev) {
+  const auto tenant = static_cast<std::uint32_t>(ev.b);
+  switch (ev.a) {
+    case kOpIssue: return op_issue(tenant);
+    case kOpOpenTick: return op_open_tick(tenant);
+    case kOpResponse: return op_response(ev.b);
+    case kOpLeafResponse:
+      return op_leaf_response(ev.b >> 8, static_cast<std::uint8_t>(ev.b & 0xff));
+    case kOpTimeout: return op_timeout(ev.b);
+    case kOpShift: return op_shift(tenant);
+    default: assert(false && "unknown service opcode");
   }
-  auto tenant_of = [this](std::uint64_t b) {
-    if (b >= config_.tenants.size()) {
-      throw snapshot::SnapshotError("service event references an unknown tenant");
-    }
-    return static_cast<std::uint32_t>(b);
-  };
-  switch (desc.a) {
-    case kOpIssue: {
-      const std::uint32_t t = tenant_of(desc.b);
-      return [this, t] { op_issue(t); };
-    }
-    case kOpOpenTick: {
-      const std::uint32_t t = tenant_of(desc.b);
-      return [this, t] { op_open_tick(t); };
-    }
-    case kOpResponse: {
-      const std::uint64_t req = desc.b;
-      return [this, req] { op_response(req); };
-    }
-    case kOpLeafResponse: {
-      const std::uint64_t req = desc.b >> 8;
-      const auto leaf = static_cast<std::uint8_t>(desc.b & 0xff);
-      return [this, req, leaf] { op_leaf_response(req, leaf); };
-    }
-    case kOpTimeout: {
-      const std::uint64_t req = desc.b;
-      return [this, req] { op_timeout(req); };
-    }
-    case kOpShift: {
-      const std::uint32_t t = tenant_of(desc.b);
-      return [this, t] { op_shift(t); };
-    }
-    default:
-      throw snapshot::SnapshotError("unknown service opcode " + std::to_string(desc.a));
+}
+
+void ServiceLayer::validate_service_event(const sim::EventDesc& ev) const {
+  if (ev.a > kOpShift) throw snapshot::SnapshotError("unknown service opcode");
+  const bool names_tenant = ev.a == kOpIssue || ev.a == kOpOpenTick || ev.a == kOpShift;
+  if (names_tenant && ev.b >= config_.tenants.size()) {
+    throw snapshot::SnapshotError("service event references an unknown tenant");
   }
 }
 

@@ -37,9 +37,10 @@
 //
 // Snapshot: all service state — outstanding request tables, per-tenant RNG
 // streams and latency histograms — archives in its own sections
-// ("service.core", "service.requests") through the sim's save/load, and
-// pending kEvService timers rebuild via rebuild_service_event. The tenant
-// configuration enters the sim's config fingerprint.
+// ("service.core", "service.requests") through the sim's save/load;
+// pending kEvService timers are plain descriptors, checked on restore by
+// validate_service_event. The tenant configuration enters the sim's
+// config fingerprint.
 #pragma once
 
 #include <array>
@@ -168,7 +169,8 @@ class ServiceLayer : public sim::ServiceClient {
   // --- sim::ServiceClient ---
   void on_flow_complete(FlowId id, TimeNs at) override;
   void on_flow_abort(FlowId id, TimeNs at) override;
-  sim::Engine::Action rebuild_service_event(const sim::EventDesc& desc) override;
+  void on_service_event(const sim::EventDesc& ev) override;
+  void validate_service_event(const sim::EventDesc& ev) const override;
   std::uint64_t service_fingerprint() const override;
   void mix_digest(snapshot::Digest& d) const override;
   void save(snapshot::ArchiveWriter& w) const override;

@@ -135,9 +135,9 @@ void Engine::ensure_gang() {
 std::uint64_t Engine::run_lane_until(Lane& lane, TimeNs we) {
   std::uint64_t n = 0;
   while (!lane.heap.empty() && lane.heap.front().time < we) {
-    Event ev = pop_min(lane);
+    const Event ev = pop_min(lane.heap);
     lane.now = ev.time;
-    ev.action();
+    dispatch(lane, ev.desc);
     ++n;
   }
   lane.events += n;
@@ -167,10 +167,10 @@ std::uint64_t Engine::serial_phase(TimeNs t) {
     }
     if (best < 0) break;
     Lane& lane = lanes_[static_cast<std::size_t>(best)];
-    Event ev = pop_min(lane);
+    const Event ev = pop_min(lane.heap);
     lane.now = t;
     cur_lane_ = best;
-    ev.action();
+    dispatch(lane, ev.desc);
     ++lane.events;
     ++n;
   }

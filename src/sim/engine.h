@@ -4,13 +4,11 @@
 // Serial mode (the default, shards == 1) is the original engine: one
 // binary heap of (time, key)-ordered events; ties in time are processed
 // in scheduling order, which makes every simulation fully deterministic
-// for a given seed. The heap is hand-rolled over a std::vector rather
-// than std::priority_queue because extraction must *move* the event's
-// action out (std::priority_queue only exposes a const top(), and
-// const_cast-ing it is undefined-behavior territory). Actions are stored
-// in a small-buffer-optimized callable, so the common case — a lambda
-// capturing `this` plus a couple of ids — costs no heap allocation per
-// event.
+// for a given seed. A heap entry is plain data — (time, key, EventDesc),
+// 40 bytes — and executing it means handing the descriptor to the one
+// dispatch entry point the owning simulator registered (set_handler),
+// which switches on its kind. Live execution and snapshot restore share
+// that path: a restored queue is the same descriptors, validated.
 //
 // Sharded mode (configure_shards with shards K > 1) splits the event
 // queue into K shard lanes plus one global lane (index K), each with its
@@ -32,127 +30,35 @@
 // the simulator.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "obs/trace.h"
+#include "sim/event_kind.h"
 #include "snapshot/archive.h"
 #include "snapshot/digest.h"
 
 namespace r2c2::sim {
 
-// Serializable description of a scheduled event, for snapshot/restore
-// (src/snapshot/). An Action is an opaque closure; transports that want
-// their event queue to survive a save/load tag every event with a
-// descriptor — a kind plus up to two operands (a flow id, a link id, a
-// parked-packet slot, ...) — from which an equivalent Action can be
-// rebuilt against the restored object graph. kind 0 means "opaque": such
-// events execute normally but make the queue unsaveable (Engine::save
-// throws), which is how transports that never opted in (TcpSim, PfqSim)
-// stay unaffected.
+// A scheduled event: a kind (sim/event_kind.h) plus up to two operands
+// (a flow id, a link id, a parked-packet slot, ...). It is the only
+// representation an event has. The engine orders descriptors in time and
+// hands each to the owning simulator's dispatch entry point, which
+// switches on the kind; a snapshot stores the same descriptors, so a
+// restored queue runs through exactly the code a live one does.
 struct EventDesc {
   std::uint32_t kind = 0;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-};
-
-// Move-only type-erased callable with a 48-byte inline buffer (libstdc++'s
-// std::function only inlines 16 bytes, heap-allocating most simulator
-// lambdas). Callables that are larger or have a throwing move constructor
-// fall back to the heap.
-class Action {
- public:
-  static constexpr std::size_t kInlineBytes = 48;
-
-  Action() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Action> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  Action(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) (Fn*)(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
-  }
-
-  Action(Action&& other) noexcept { move_from(other); }
-  Action& operator=(Action&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  Action(const Action&) = delete;
-  Action& operator=(const Action&) = delete;
-  ~Action() { reset(); }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-  void operator()() { ops_->invoke(buf_); }
-
-  void reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void* buf);
-    void (*relocate)(void* from, void* to);  // move-construct into to, destroy from
-    void (*destroy)(void* buf);
-  };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
-  static constexpr Ops kInlineOps{
-      [](void* buf) { (*std::launder(reinterpret_cast<Fn*>(buf)))(); },
-      [](void* from, void* to) {
-        Fn* src = std::launder(reinterpret_cast<Fn*>(from));
-        ::new (to) Fn(std::move(*src));
-        src->~Fn();
-      },
-      [](void* buf) { std::launder(reinterpret_cast<Fn*>(buf))->~Fn(); },
-  };
-
-  template <typename Fn>
-  static constexpr Ops kHeapOps{
-      [](void* buf) { (**std::launder(reinterpret_cast<Fn**>(buf)))(); },
-      [](void* from, void* to) {
-        ::new (to) (Fn*)(*std::launder(reinterpret_cast<Fn**>(from)));
-      },
-      [](void* buf) { delete *std::launder(reinterpret_cast<Fn**>(buf)); },
-  };
-
-  void move_from(Action& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(other.buf_, buf_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 
 namespace detail {
@@ -163,17 +69,41 @@ inline thread_local int tls_engine_lane = -1;
 }  // namespace detail
 
 class Engine {
- public:
-  using Action = r2c2::sim::Action;
+  struct Lane;
 
+ public:
   // Lane index fits in the low 7 bits of an event key.
   static constexpr int kLaneBits = 7;
   static constexpr int kMaxShards = 126;
+
+  // A heap entry: plain data, so sifts copy 40 bytes and nothing else.
+  struct Event {
+    TimeNs time;
+    std::uint64_t key;
+    EventDesc desc;
+    bool before(const Event& o) const { return time != o.time ? time < o.time : key < o.key; }
+  };
+
+  // The dispatch entry point: called once per executed event, on the
+  // thread that owns the event's lane.
+  using Handler = void (*)(void* owner, const EventDesc& ev);
 
   Engine();
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
+
+  // Registers the owning simulator's dispatch entry point. Must be set
+  // before run() executes any event.
+  void set_handler(Handler fn, void* owner) {
+    handler_ = fn;
+    owner_ = owner;
+  }
+  // Convenience: dispatch to `owner.on_event(const EventDesc&)`.
+  template <typename T>
+  void set_handler(T& owner) {
+    set_handler([](void* o, const EventDesc& ev) { static_cast<T*>(o)->on_event(ev); }, &owner);
+  }
 
   // Switches the engine into sharded mode: `shards` shard lanes plus one
   // global lane. `lookahead` is the conservative window width (minimum
@@ -205,8 +135,7 @@ class Engine {
   TimeNs now() const { return lanes_[static_cast<std::size_t>(current_lane())].now; }
   TimeNs lane_now(int lane) const { return lanes_[static_cast<std::size_t>(lane)].now; }
 
-  void schedule_at(TimeNs t, Action action) { schedule_at(t, EventDesc{}, std::move(action)); }
-  void schedule_at(TimeNs t, EventDesc desc, Action action) {
+  void schedule_at(TimeNs t, EventDesc desc) {
     const int lane_idx = current_lane();
     Lane& lane = lanes_[static_cast<std::size_t>(lane_idx)];
     if (t < lane.now) {
@@ -220,21 +149,18 @@ class Engine {
       assert(!in_window_ && "past-time schedule inside a parallel window");
       t = lane.now;
     }
-    push_event(lane, Event{t, alloc_key_from(lane_idx), desc, std::move(action)});
+    push_event(lane.heap, Event{t, alloc_key_from(lane_idx), desc});
   }
-  void schedule_in(TimeNs dt, Action action) { schedule_at(now() + dt, std::move(action)); }
-  void schedule_in(TimeNs dt, EventDesc desc, Action action) {
-    schedule_at(now() + dt, desc, std::move(action));
-  }
+  void schedule_in(TimeNs dt, EventDesc desc) { schedule_at(now() + dt, desc); }
 
   // Schedules onto an explicit lane, stamping the key from the *calling*
   // lane's sequence counter (ties keep the origin's serial order). Only
   // legal across lanes outside parallel windows; inside a window a shard
   // may only reach other lanes through mailboxes + schedule_keyed.
-  void schedule_on(int lane_idx, TimeNs t, EventDesc desc, Action action) {
+  void schedule_on(int lane_idx, TimeNs t, EventDesc desc) {
     assert(lane_idx >= 0 && lane_idx < num_lanes());
     assert(!in_window_ || lane_idx == current_lane());
-    schedule_keyed(lane_idx, t, alloc_key_from(current_lane()), desc, std::move(action));
+    schedule_keyed(lane_idx, t, alloc_key_from(current_lane()), desc);
   }
 
   // Allocates an event key from the calling lane without scheduling —
@@ -243,14 +169,14 @@ class Engine {
   // origin's tie order exactly as if the event had been pushed directly.
   std::uint64_t alloc_key() { return alloc_key_from(current_lane()); }
 
-  void schedule_keyed(int lane_idx, TimeNs t, std::uint64_t key, EventDesc desc, Action action) {
+  void schedule_keyed(int lane_idx, TimeNs t, std::uint64_t key, EventDesc desc) {
     Lane& lane = lanes_[static_cast<std::size_t>(lane_idx)];
     if (t < lane.now) {
       ++lane.clamped;
       assert(!in_window_ && "mailbox delivery landed behind the destination lane");
       t = lane.now;
     }
-    push_event(lane, Event{t, key, desc, std::move(action)});
+    push_event(lane.heap, Event{t, key, desc});
   }
 
   // Runs events until the queue drains or simulated time would exceed
@@ -263,9 +189,9 @@ class Engine {
       Lane& lane = lanes_[0];
       std::uint64_t processed = 0;
       while (!lane.heap.empty() && lane.heap.front().time <= until) {
-        Event ev = pop_min(lane);
+        const Event ev = pop_min(lane.heap);
         lane.now = ev.time;
-        ev.action();
+        dispatch(lane, ev.desc);
         ++processed;
       }
       lane.events += processed;
@@ -329,14 +255,28 @@ class Engine {
   // Serial phases executed (sharded mode: global-lane turns).
   std::uint64_t serial_phases() const { return serial_phases_; }
 
+  // Events executed per kind, summed over lanes (each lane counts its own
+  // at the dispatch point). Slot 0 collects kinds event_kind.h does not
+  // name. Observability only: never saved or digested, and they keep
+  // accumulating across a restore. All zero with R2C2_TRACING=OFF.
+  using KindCounts = std::array<std::uint64_t, kEvKindCount>;
+  KindCounts kind_events() const {
+    KindCounts total{};
+#if R2C2_TRACING_ENABLED
+    for (const Lane& lane : lanes_) {
+      for (std::size_t k = 0; k < total.size(); ++k) total[k] += lane.kind_events[k];
+    }
+#endif
+    return total;
+  }
+
   // --- Snapshot support (src/snapshot/) ---
   // Serializes per lane the clock, the key counter and every pending
   // event's (time, key, descriptor) triple, in heap-array order —
   // restoring the identical array preserves both the heap invariant and
   // the exact (time, key) tie-breaking, so a restored engine replays the
   // same event interleaving bit for bit. With a single lane the layout is
-  // byte-identical to the historical serial format. Throws SnapshotError
-  // if any pending event lacks a descriptor (kind 0).
+  // byte-identical to the historical serial format.
   void save(snapshot::ArchiveWriter& w) const {
     w.begin_section("engine");
     for (const Lane& lane : lanes_) {
@@ -345,10 +285,6 @@ class Engine {
       w.u64(lane.events);
       w.u64(lane.heap.size());
       for (const Event& e : lane.heap) {
-        if (e.desc.kind == 0) {
-          throw snapshot::SnapshotError(
-              "pending event without a descriptor: this transport cannot be snapshotted");
-        }
         w.i64(e.time);
         w.u64(e.key);
         w.u32(e.desc.kind);
@@ -359,19 +295,23 @@ class Engine {
     w.end_section();
   }
 
-  // Replaces the entire engine state with the archived one. `rebuild`
-  // maps each descriptor back to an executable Action bound to the
-  // restored object graph; it must throw SnapshotError on descriptors it
-  // does not recognize. Taken as a template (function_ref style) so the
-  // caller's lambda is invoked directly — no std::function allocation per
-  // restore — and each lane's heap storage is reserved up front, so large
-  // queue restores cost one allocation per lane. Parse-then-commit: the
-  // lanes are only replaced once every event has been read and rebuilt.
-  template <typename Rebuild>
-  void load(snapshot::ArchiveReader& r, Rebuild&& rebuild) {
+  // Restores the archived queue in two steps, so a caller can check it
+  // against the rest of an archive before anything commits. parse() reads
+  // every lane and hands each descriptor to `validate`, which throws
+  // SnapshotError on one the dispatcher could not execute; it changes
+  // nothing. commit() then replaces the entire engine state. Each lane's
+  // heap storage is reserved up front, so a large queue costs one
+  // allocation per lane.
+  class Queue {
+    friend class Engine;
+    std::vector<Lane> lanes_;
+  };
+  template <typename Validate>
+  Queue parse(snapshot::ArchiveReader& r, Validate&& validate) const {
     r.open_section("engine");
-    std::vector<Lane> lanes(lanes_.size());
-    for (Lane& lane : lanes) {
+    Queue q;
+    q.lanes_.resize(lanes_.size());
+    for (Lane& lane : q.lanes_) {
       lane.now = r.i64();
       lane.next_key = r.u64();
       lane.events = r.u64();
@@ -384,28 +324,34 @@ class Engine {
         e.desc.kind = r.u32();
         e.desc.a = r.u64();
         e.desc.b = r.u64();
-        e.action = rebuild(static_cast<const EventDesc&>(e.desc));
-        lane.heap.push_back(std::move(e));
+        validate(static_cast<const EventDesc&>(e.desc));
+        lane.heap.push_back(e);
       }
     }
     r.close_section();
+    return q;
+  }
+  void commit(Queue&& q) {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       Lane& dst = lanes_[i];
-      Lane& src = lanes[i];
+      Lane& src = q.lanes_[i];
       dst.heap = std::move(src.heap);
       dst.now = src.now;
       dst.next_key = src.next_key;
       dst.events = src.events;
-      // clamped/windows/stalls are observability-only (not digested):
-      // they keep accumulating across a restore.
+      // clamped/windows/stalls and the kind counts are observability-only
+      // (not digested): they keep accumulating across a restore.
     }
+  }
+  template <typename Validate>
+  void load(snapshot::ArchiveReader& r, Validate&& validate) {
+    commit(parse(r, std::forward<Validate>(validate)));
   }
 
   // Mixes per lane the clock, counters and every pending (time, key,
   // descriptor) into a rolling state digest, in heap-array order
-  // (deterministic for a deterministic schedule history). Opaque events
-  // mix their kind 0. Single-lane digests match the historical serial
-  // digest exactly.
+  // (deterministic for a deterministic schedule history). Single-lane
+  // digests match the historical serial digest exactly.
   void mix_digest(snapshot::Digest& d) const {
     for (const Lane& lane : lanes_) {
       d.mix_i64(lane.now);
@@ -423,14 +369,6 @@ class Engine {
   }
 
  private:
-  struct Event {
-    TimeNs time;
-    std::uint64_t key;
-    EventDesc desc;
-    Action action;
-    bool before(const Event& o) const { return time != o.time ? time < o.time : key < o.key; }
-  };
-
   // Each lane is an independent heap + clock. Padded so neighboring
   // lanes' hot cursors don't share a cache line under the worker gang.
   struct alignas(64) Lane {
@@ -441,6 +379,9 @@ class Engine {
     std::uint64_t clamped = 0;
     std::uint64_t windows = 0;
     std::uint64_t stalls = 0;
+#if R2C2_TRACING_ENABLED
+    KindCounts kind_events{};
+#endif
   };
 
   class Gang;
@@ -453,45 +394,45 @@ class Engine {
     return (seq << kLaneBits) | static_cast<std::uint64_t>(origin);
   }
 
-  static void push_event(Lane& lane, Event ev) {
-    lane.heap.push_back(std::move(ev));
-    sift_up(lane.heap, lane.heap.size() - 1);
+  void dispatch([[maybe_unused]] Lane& lane, const EventDesc& ev) {
+#if R2C2_TRACING_ENABLED
+    ++lane.kind_events[ev.kind < kEvKindCount ? ev.kind : 0];
+#endif
+    handler_(owner_, ev);
   }
 
-  static Event pop_min(Lane& lane) {
-    auto& heap = lane.heap;
-    Event out = std::move(heap.front());
-    if (heap.size() > 1) {
-      heap.front() = std::move(heap.back());
-      heap.pop_back();
-      sift_down(heap, 0);
-    } else {
-      heap.pop_back();
-    }
-    return out;
-  }
-
-  static void sift_up(std::vector<Event>& heap, std::size_t i) {
+  // Binary min-heap on (time, key). Both sifts move a hole and write the
+  // moving entry once. The array they leave is the classic swap-based
+  // sift's, which matters: snapshots and digests record heap-array order.
+  static void push_event(std::vector<Event>& heap, const Event& ev) {
+    std::size_t i = heap.size();
+    heap.push_back(ev);
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!heap[i].before(heap[parent])) break;
-      std::swap(heap[i], heap[parent]);
+      if (!ev.before(heap[parent])) break;
+      heap[i] = heap[parent];
       i = parent;
     }
+    heap[i] = ev;
   }
 
-  static void sift_down(std::vector<Event>& heap, std::size_t i) {
+  static Event pop_min(std::vector<Event>& heap) {
+    const Event top = heap.front();
+    const Event last = heap.back();
+    heap.pop_back();
     const std::size_t n = heap.size();
+    if (n == 0) return top;
+    std::size_t i = 0;
     for (;;) {
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = 2 * i + 2;
-      std::size_t best = i;
-      if (l < n && heap[l].before(heap[best])) best = l;
-      if (r < n && heap[r].before(heap[best])) best = r;
-      if (best == i) break;
-      std::swap(heap[i], heap[best]);
-      i = best;
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && heap[child + 1].before(heap[child])) ++child;
+      if (!heap[child].before(last)) break;
+      heap[i] = heap[child];
+      i = child;
     }
+    heap[i] = last;
+    return top;
   }
 
   // Sharded driver (engine.cpp): alternates serial phases (global lane
@@ -503,6 +444,8 @@ class Engine {
   void ensure_gang();
 
   std::vector<Lane> lanes_;
+  Handler handler_ = nullptr;
+  void* owner_ = nullptr;
   int shards_ = 1;
   int workers_ = 1;
   TimeNs lookahead_ = 0;
@@ -515,5 +458,7 @@ class Engine {
   std::function<void()> barrier_apply_;
   std::unique_ptr<Gang> gang_;
 };
+
+static_assert(std::is_trivially_copyable_v<Engine::Event> && sizeof(Engine::Event) <= 40);
 
 }  // namespace r2c2::sim

@@ -255,8 +255,7 @@ void FaultInjector::arm() {
   if (armed_) throw std::logic_error("FaultInjector armed twice");
   armed_ = true;
   for (std::size_t i = 0; i < script_.events.size(); ++i) {
-    const FaultEvent& ev = script_.events[i];
-    engine_.schedule_at(ev.at, EventDesc{kEvFaultApply, i, 0}, [this, ev] { apply(ev); });
+    engine_.schedule_at(script_.events[i].at, EventDesc{kEvFaultApply, i, 0});
   }
 }
 
@@ -283,14 +282,6 @@ void FaultInjector::load(snapshot::ArchiveReader& r) {
   restores_injected_ = restores;
   degrades_injected_ = degrades;
   degrades_cleared_ = cleared;
-}
-
-Engine::Action FaultInjector::rebuild_event(const EventDesc& desc) {
-  if (desc.kind != kEvFaultApply || desc.a >= script_.events.size()) {
-    throw snapshot::SnapshotError("fault-apply event references an invalid script index");
-  }
-  const FaultEvent ev = script_.events[desc.a];
-  return [this, ev] { apply(ev); };
 }
 
 void FaultInjector::mix_digest(snapshot::Digest& d) const {

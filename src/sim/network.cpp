@@ -116,8 +116,7 @@ void Network::send_on_link(LinkId link, SimPacket&& pkt) {
 void Network::schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt) {
   if (shards_ == 1) {
     const std::uint64_t slot = park_in(0, std::move(pkt));
-    engine_.schedule_at(at, EventDesc{kEvDeliver, slot, to},
-                        [this, to, slot] { deliver_(to, take_parked(slot)); });
+    engine_.schedule_at(at, EventDesc{kEvDeliver, slot, to});
     return;
   }
   const int dst_lane = node_lane_[to];
@@ -132,8 +131,7 @@ void Network::schedule_delivery(NodeId to, TimeNs at, SimPacket&& pkt) {
   // Park in the destination lane's store: the deliver event executes
   // there, and only a lane's owner touches its store inside windows.
   const std::uint64_t slot = park_in(dst_lane, std::move(pkt));
-  engine_.schedule_on(dst_lane, at, EventDesc{kEvDeliver, slot, to},
-                      [this, to, slot] { deliver_(to, take_parked(slot)); });
+  engine_.schedule_on(dst_lane, at, EventDesc{kEvDeliver, slot, to});
 }
 
 void Network::drain_mailbox(int dst) {
@@ -143,10 +141,8 @@ void Network::drain_mailbox(int dst) {
                       static_cast<std::size_t>(dst)];
     depth += box.size();
     for (MailEntry& e : box) {
-      const NodeId to = e.to;
       const std::uint64_t slot = park_in(dst, std::move(e.pkt));
-      engine_.schedule_keyed(dst, e.at, e.key, EventDesc{kEvDeliver, slot, to},
-                             [this, to, slot] { deliver_(to, take_parked(slot)); });
+      engine_.schedule_keyed(dst, e.at, e.key, EventDesc{kEvDeliver, slot, e.to});
     }
     box.clear();  // keeps capacity: steady-state windows do not allocate
   }
@@ -183,15 +179,10 @@ void Network::try_transmit(LinkId link) {
   // serialization + propagation (+ forwarding overhead at the next node).
   // The completion always runs on the lane that owns the port; inside a
   // window that is the current lane, from global context it hops lanes.
-  const auto link_free = [this, link] {
-    ports_[link].busy = false;
-    try_transmit(link);
-  };
   if (shards_ == 1) {
-    engine_.schedule_in(tx, EventDesc{kEvLinkFree, link, 0}, link_free);
+    engine_.schedule_in(tx, EventDesc{kEvLinkFree, link, 0});
   } else {
-    engine_.schedule_on(link_lane_[link], engine_.now() + tx, EventDesc{kEvLinkFree, link, 0},
-                        link_free);
+    engine_.schedule_on(link_lane_[link], engine_.now() + tx, EventDesc{kEvLinkFree, link, 0});
   }
   // Gray degradation: a flap oscillator's dark window or a loss draw loses
   // the packet on the wire — silently, like a dead cable, so the transport
@@ -307,31 +298,14 @@ SimPacket Network::take_parked(std::uint64_t slot) {
   return std::move(store.slots[idx]);
 }
 
-Engine::Action Network::rebuild_event(const EventDesc& desc) {
-  switch (desc.kind) {
-    case kEvLinkFree: {
-      if (desc.a >= ports_.size()) throw snapshot::SnapshotError("link-free event out of range");
-      const LinkId link = static_cast<LinkId>(desc.a);
-      return [this, link] {
-        ports_[link].busy = false;
-        try_transmit(link);
-      };
-    }
-    case kEvDeliver: {
-      const int store_idx = slot_store(desc.a);
-      const std::uint64_t idx = slot_index(desc.a);
-      if (store_idx >= static_cast<int>(parks_.size()) ||
-          idx >= parks_[static_cast<std::size_t>(store_idx)].slots.size() ||
-          !parks_[static_cast<std::size_t>(store_idx)].used[idx]) {
-        throw snapshot::SnapshotError("deliver event references an empty packet slot");
-      }
-      const std::uint64_t slot = desc.a;
-      const NodeId to = static_cast<NodeId>(desc.b);
-      return [this, to, slot] { deliver_(to, take_parked(slot)); };
-    }
-    default:
-      throw snapshot::SnapshotError("network cannot rebuild event kind " +
-                                    std::to_string(desc.kind));
+void Network::on_event(const EventDesc& ev) {
+  if (ev.kind == kEvLinkFree) {
+    const auto link = static_cast<LinkId>(ev.a);
+    ports_[link].busy = false;
+    try_transmit(link);
+  } else {
+    assert(ev.kind == kEvDeliver);
+    deliver_(static_cast<NodeId>(ev.b), take_parked(ev.a));
   }
 }
 
@@ -470,7 +444,7 @@ void Network::save(snapshot::ArchiveWriter& w) const {
   w.end_section();
 }
 
-void Network::load(snapshot::ArchiveReader& r) {
+void Network::load(snapshot::ArchiveReader& r, std::span<const std::uint64_t> parked_refs) {
   r.open_section("network");
   const std::uint64_t num_ports = r.u64();
   if (num_ports != ports_.size()) {
@@ -509,6 +483,13 @@ void Network::load(snapshot::ArchiveReader& r) {
         throw snapshot::SnapshotError("corrupt parked-packet free list");
       }
       store.free.push_back(slot);
+    }
+  }
+  for (const std::uint64_t slot : parked_refs) {
+    const auto store = static_cast<std::size_t>(slot_store(slot));
+    const std::uint64_t idx = slot_index(slot);
+    if (store >= parks.size() || idx >= parks[store].slots.size() || !parks[store].used[idx]) {
+      throw snapshot::SnapshotError("pending event references an empty packet slot");
     }
   }
   std::vector<std::array<std::uint64_t, 4>> rng_states(corruption_rngs_.size());

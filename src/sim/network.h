@@ -222,26 +222,29 @@ class Network {
   }
 
   // --- Snapshot support (src/snapshot/) ---
-  // Packets referenced by pending engine events live in a slot store rather
-  // than inside the closures, so the events serialize as (kind, slot, ...)
-  // descriptors. Slot ids are stable across save/load: the free list is
-  // serialized verbatim, so a restored network hands out the same slot for
-  // the same future park() call and descriptors keep matching. Sharded
+  // Packets referenced by pending engine events live in a slot store, so
+  // the events are plain (kind, slot, ...) descriptors. Slot ids are stable
+  // across save/load: the free list is serialized verbatim, so a restored
+  // network hands out the same slot for the same future park() call and
+  // descriptors keep matching. Sharded
   // engines keep one store per lane; slot ids then carry the store index
   // in their top bits.
   std::uint64_t park(SimPacket&& pkt);
   SimPacket take_parked(std::uint64_t slot);
 
-  // Rebuilds the closure for a kEvLinkFree / kEvDeliver descriptor; throws
-  // SnapshotError on any other kind.
-  Engine::Action rebuild_event(const EventDesc& desc);
+  // Executes a kEvLinkFree or kEvDeliver event; the owning simulator's
+  // dispatcher forwards both kinds here.
+  void on_event(const EventDesc& ev);
 
   // Ports (queued packets of both classes), the parked-packet store(s),
   // traffic/drop counters, the corruption RNG stream(s) and the gray
   // degradation table (sparse: active entries only). The engine's event
-  // queue is saved separately by the owning transport.
+  // queue is saved separately by the owning transport. load() is
+  // parse-then-commit, and throws SnapshotError before committing if any
+  // of `parked_refs` (slots the archived event queue takes packets from)
+  // is empty in the archived stores.
   void save(snapshot::ArchiveWriter& w) const;
-  void load(snapshot::ArchiveReader& r);
+  void load(snapshot::ArchiveReader& r, std::span<const std::uint64_t> parked_refs = {});
 
   // Mixes all of the above into a rolling state digest, in a canonical
   // order independent of container internals.

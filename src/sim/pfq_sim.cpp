@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/engine_gauges.h"
+#include "sim/event_kind.h"
+
 namespace r2c2::sim {
 
 PfqSim::PfqSim(const Topology& topo, const Router& router, PfqSimConfig config)
@@ -12,11 +15,30 @@ PfqSim::PfqSim(const Topology& topo, const Router& router, PfqSimConfig config)
     c_started_ = &config_.metrics->counter("pfq.flows_started");
     c_finished_ = &config_.metrics->counter("pfq.flows_finished");
   }
+  engine_.set_handler(
+      [](void* sim, const EventDesc& ev) { static_cast<PfqSim*>(sim)->on_event(ev); }, this);
 }
 
 void PfqSim::add_flows(const std::vector<FlowArrival>& flows) {
   for (const FlowArrival& f : flows) {
-    engine_.schedule_at(f.start, [this, f] { start_flow(f); });
+    engine_.schedule_at(f.start, EventDesc{kEvStartFlow, arrivals_.size(), 0});
+    arrivals_.push_back(f);
+  }
+}
+
+void PfqSim::on_event(const EventDesc& ev) {
+  switch (ev.kind) {
+    case kEvStartFlow: return start_flow(arrivals_[ev.a]);
+    case kEvLinkFree:
+      ports_[ev.a].busy = false;
+      return try_transmit(static_cast<LinkId>(ev.a));
+    case kEvPfqArrive: {
+      // Move out before arrive(): forwarding may reuse the slot.
+      SimPacket pkt = std::move(in_flight_[ev.a]);
+      in_flight_free_.push_back(ev.a);
+      return arrive(static_cast<LinkId>(ev.b), std::move(pkt));
+    }
+    default: assert(false && "PfqSim scheduled an event kind it does not dispatch");
   }
 }
 
@@ -29,6 +51,10 @@ RunMetrics PfqSim::run(TimeNs until) {
   m.data_bytes_on_wire = data_bytes_;
   m.events = engine_.total_events();
   m.sim_end = engine_.now();
+  if (config_.metrics != nullptr) {
+    const Engine::KindCounts kinds = engine_.kind_events();
+    obs::publish_engine_kinds(*config_.metrics, kEventKindNames, kinds);
+  }
   return m;
 }
 
@@ -141,12 +167,16 @@ void PfqSim::try_transmit(LinkId link) {
     const Link& l = topo_.link(link);
     const TimeNs tx = transmission_time_ns(pkt.wire_bytes, l.bandwidth);
     data_bytes_ += pkt.wire_bytes;
-    engine_.schedule_in(tx, [this, link] {
-      ports_[link].busy = false;
-      try_transmit(link);
-    });
-    engine_.schedule_in(tx + l.latency,
-                        [this, link, p = std::move(pkt)]() mutable { arrive(link, std::move(p)); });
+    engine_.schedule_in(tx, EventDesc{kEvLinkFree, link, 0});
+    std::uint64_t slot = in_flight_.size();
+    if (in_flight_free_.empty()) {
+      in_flight_.push_back(std::move(pkt));
+    } else {
+      slot = in_flight_free_.back();
+      in_flight_free_.pop_back();
+      in_flight_[slot] = std::move(pkt);
+    }
+    engine_.schedule_in(tx + l.latency, EventDesc{kEvPfqArrive, slot, link});
     return;
   }
   // Nothing eligible: the port idles until an enqueue or an occupancy drop.

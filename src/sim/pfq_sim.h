@@ -76,6 +76,8 @@ class PfqSim {
     return (static_cast<std::uint64_t>(node) << 32) | flow;
   }
 
+  // Engine dispatch: kEvStartFlow, kEvLinkFree and kEvPfqArrive.
+  void on_event(const EventDesc& ev);
   void start_flow(const FlowArrival& arrival);
   void try_inject(FlowId id);
   void enqueue(NodeId at, SimPacket&& pkt);
@@ -90,7 +92,11 @@ class PfqSim {
   Engine engine_;
   Rng rng_;
 
+  std::vector<FlowArrival> arrivals_;  // kEvStartFlow operand a indexes this
   std::vector<Port> ports_;
+  // Packets on the wire, referenced by pending kEvPfqArrive events.
+  std::vector<SimPacket> in_flight_;
+  std::vector<std::uint64_t> in_flight_free_;
   std::unordered_map<std::uint64_t, std::uint64_t> occupancy_;      // (node,flow) -> bytes
   std::unordered_map<std::uint64_t, std::vector<LinkId>> waiters_;  // (node,flow) -> blocked ports
   std::unordered_map<FlowId, SenderFlow> senders_;

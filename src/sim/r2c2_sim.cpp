@@ -90,6 +90,8 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
       for (std::size_t i = 0; i < k + 1; ++i) lane_traces_.emplace_back(trace_->capacity());
     }
   }
+  engine_.set_handler(
+      [](void* sim, const EventDesc& ev) { static_cast<R2c2Sim*>(sim)->on_event(ev); }, this);
   net_.set_deliver([this](NodeId at, SimPacket&& pkt) { deliver(at, std::move(pkt)); });
   // Control packets use an unbounded priority queue by default, so they are
   // never dropped. When control priority is disabled (ablation) they share
@@ -110,8 +112,7 @@ R2c2Sim::R2c2Sim(const Topology& topo, const Router& router, R2c2SimConfig confi
     // The retransmit copy is parked (not captured) so the pending event
     // serializes as a (slot, link) descriptor.
     const std::uint64_t slot = net_.park(SimPacket(pkt));
-    engine_.schedule_in(5 * kNsPerUs, EventDesc{kEvCtrlRetransmit, slot, link},
-                        [this, slot, link] { net_.send_on_link(link, net_.take_parked(slot)); });
+    engine_.schedule_in(5 * kNsPerUs, EventDesc{kEvCtrlRetransmit, slot, link});
   });
 #if R2C2_TRACING_ENABLED
   if (trace_ != nullptr) {
@@ -158,8 +159,7 @@ void R2c2Sim::add_flows(const std::vector<FlowArrival>& flows) {
   for (const FlowArrival& f : flows) {
     const std::uint64_t index = arrivals_.size();
     arrivals_.push_back(f);
-    engine_.schedule_at(f.start, EventDesc{kEvStartFlow, index, 0},
-                        [this, index] { start_flow(arrivals_[index]); });
+    engine_.schedule_at(f.start, EventDesc{kEvStartFlow, index, 0});
   }
 }
 
@@ -243,6 +243,8 @@ RunMetrics R2c2Sim::collect_metrics() {
   metrics_.gauge("detect.suspects").set(static_cast<double>(suspects_));
   metrics_.gauge("sim.events").set(static_cast<double>(m.events));
   metrics_.gauge("sim.end_ns").set(static_cast<double>(m.sim_end));
+  const Engine::KindCounts kinds = engine_.kind_events();
+  obs::publish_engine_kinds(metrics_, kEventKindNames, kinds);
   if (sharded_) {
     std::vector<obs::EngineLaneSample> lanes(static_cast<std::size_t>(engine_.num_lanes()));
     for (int i = 0; i < engine_.num_lanes(); ++i) {
@@ -404,7 +406,7 @@ void R2c2Sim::schedule_service(TimeNs at, std::uint64_t a, std::uint64_t b) {
   // Clamp to the global lane's clock: a completion-triggered issue applied
   // at a window barrier may target a time the lane already passed.
   const TimeNs t = std::max(at, engine_.lane_now(lane));
-  engine_.schedule_on(lane, t, desc, service_->rebuild_service_event(desc));
+  engine_.schedule_on(lane, t, desc);
 }
 
 void R2c2Sim::notify_service_done(FlowId id, TimeNs at, bool aborted) {
@@ -552,8 +554,7 @@ void R2c2Sim::apply_global(const BroadcastMsg& msg) {
 void R2c2Sim::schedule_recompute_tick() {
   if (config_.recompute_interval == 0 || tick_scheduled_) return;
   tick_scheduled_ = true;
-  engine_.schedule_in(config_.recompute_interval, EventDesc{kEvRecomputeTick, 0, 0},
-                      [this] { recompute_tick(); });
+  engine_.schedule_in(config_.recompute_interval, EventDesc{kEvRecomputeTick, 0, 0});
 }
 
 void R2c2Sim::recompute_tick() {
@@ -605,11 +606,10 @@ void R2c2Sim::schedule_emit(FlowId id) {
   if (sharded_) {
     // Emission always runs on the sender's home lane, whichever context
     // (flow start, rate recompute, the lane itself) armed it.
-    engine_.schedule_on(plan_.lane(flow.spec.src), at, EventDesc{kEvEmitPacket, id, 0},
-                        [this, id] { emit_packet(id); });
+    engine_.schedule_on(plan_.lane(flow.spec.src), at, EventDesc{kEvEmitPacket, id, 0});
     return;
   }
-  engine_.schedule_at(at, EventDesc{kEvEmitPacket, id, 0}, [this, id] { emit_packet(id); });
+  engine_.schedule_at(at, EventDesc{kEvEmitPacket, id, 0});
 }
 
 void R2c2Sim::emit_packet(FlowId id) {
@@ -638,8 +638,7 @@ void R2c2Sim::emit_packet(FlowId id) {
       const std::optional<TimeNs> deadline = flow.rel->next_deadline();
       if (deadline.has_value() && !flow.rel->fully_acked()) {
         flow.emit_scheduled = true;
-        engine_.schedule_at(*deadline, EventDesc{kEvEmitPacket, id, 0},
-                            [this, id] { emit_packet(id); });
+        engine_.schedule_at(*deadline, EventDesc{kEvEmitPacket, id, 0});
       }
       return;
     }
@@ -932,26 +931,23 @@ void R2c2Sim::start_fault_ticks() {
     }
     if (!detection_tick_scheduled_) {
       detection_tick_scheduled_ = true;
-      engine_.schedule_in(config_.failure_timeout, EventDesc{kEvDetectionTick, 0, 0},
-                          [this] { detection_tick(); });
+      engine_.schedule_in(config_.failure_timeout, EventDesc{kEvDetectionTick, 0, 0});
     }
   }
   if (config_.lease_interval > 0) {
     if (!lease_tick_scheduled_) {
       lease_tick_scheduled_ = true;
-      engine_.schedule_in(config_.lease_interval, EventDesc{kEvLeaseTick, 0, 0},
-                          [this] { lease_tick(); });
+      engine_.schedule_in(config_.lease_interval, EventDesc{kEvLeaseTick, 0, 0});
     }
     if (!gc_tick_scheduled_) {
       gc_tick_scheduled_ = true;
-      engine_.schedule_in(config_.lease_ttl, EventDesc{kEvGcTick, 0, 0}, [this] { gc_tick(); });
+      engine_.schedule_in(config_.lease_ttl, EventDesc{kEvGcTick, 0, 0});
     }
   }
   if (config_.congestion_aware && config_.congestion_interval > 0 &&
       !congestion_tick_scheduled_) {
     congestion_tick_scheduled_ = true;
-    engine_.schedule_in(config_.congestion_interval, EventDesc{kEvCongestionTick, 0, 0},
-                        [this] { congestion_tick(); });
+    engine_.schedule_in(config_.congestion_interval, EventDesc{kEvCongestionTick, 0, 0});
   }
 }
 
@@ -973,8 +969,7 @@ void R2c2Sim::keepalive_tick() {
     net_.send_on_link(id, std::move(pkt));
   }
   keepalive_tick_scheduled_ = true;
-  engine_.schedule_in(config_.keepalive_interval, EventDesc{kEvKeepaliveTick, 0, 0},
-                      [this] { keepalive_tick(); });
+  engine_.schedule_in(config_.keepalive_interval, EventDesc{kEvKeepaliveTick, 0, 0});
 }
 
 void R2c2Sim::detection_tick() {
@@ -990,8 +985,7 @@ void R2c2Sim::detection_tick() {
   // them); everything else accrues or sheds suspicion.
   if (config_.adaptive_detection) update_suspicion(now);
   detection_tick_scheduled_ = true;
-  engine_.schedule_in(config_.keepalive_interval, EventDesc{kEvDetectionTick, 0, 0},
-                      [this] { detection_tick(); });
+  engine_.schedule_in(config_.keepalive_interval, EventDesc{kEvDetectionTick, 0, 0});
 }
 
 void R2c2Sim::congestion_tick() {
@@ -1011,8 +1005,7 @@ void R2c2Sim::congestion_tick() {
   }
   if (!fault_ticks_needed() && !residual) return;
   congestion_tick_scheduled_ = true;
-  engine_.schedule_in(config_.congestion_interval, EventDesc{kEvCongestionTick, 0, 0},
-                      [this] { congestion_tick(); });
+  engine_.schedule_in(config_.congestion_interval, EventDesc{kEvCongestionTick, 0, 0});
 }
 
 void R2c2Sim::on_keepalive(SimPacket&& pkt) {
@@ -1187,8 +1180,7 @@ void R2c2Sim::refresh_active_penalty() {
 void R2c2Sim::schedule_rebuild() {
   if (rebuild_scheduled_) return;
   rebuild_scheduled_ = true;
-  engine_.schedule_in(config_.rebuild_delay, EventDesc{kEvRebuildContext, 0, 0},
-                      [this] { rebuild_context(); });
+  engine_.schedule_in(config_.rebuild_delay, EventDesc{kEvRebuildContext, 0, 0});
 }
 
 void R2c2Sim::rebuild_context() {
@@ -1215,8 +1207,7 @@ void R2c2Sim::rebuild_context() {
       // (restores will shrink it) or a false-positive pileup. Keep the old
       // decision plane and retry after another detection window.
       rebuild_scheduled_ = true;
-      engine_.schedule_in(config_.failure_timeout, EventDesc{kEvRebuildContext, 0, 0},
-                          [this] { rebuild_context(); });
+      engine_.schedule_in(config_.failure_timeout, EventDesc{kEvRebuildContext, 0, 0});
       return;
     }
     // Old router/trees reference the old topology: tear down in order.
@@ -1314,8 +1305,7 @@ void R2c2Sim::lease_tick() {
                        0);
   }
   lease_tick_scheduled_ = true;
-  engine_.schedule_in(config_.lease_interval, EventDesc{kEvLeaseTick, 0, 0},
-                      [this] { lease_tick(); });
+  engine_.schedule_in(config_.lease_interval, EventDesc{kEvLeaseTick, 0, 0});
 }
 
 void R2c2Sim::gc_tick() {
@@ -1349,7 +1339,7 @@ void R2c2Sim::gc_tick() {
   if (!gc_scratch_.empty() && config_.recompute_interval == 0) recompute_rates();
   if (fault_ticks_needed() || !global_view_.empty()) {
     gc_tick_scheduled_ = true;
-    engine_.schedule_in(config_.lease_ttl, EventDesc{kEvGcTick, 0, 0}, [this] { gc_tick(); });
+    engine_.schedule_in(config_.lease_ttl, EventDesc{kEvGcTick, 0, 0});
   }
 }
 
@@ -1933,56 +1923,46 @@ void R2c2Sim::save(snapshot::ArchiveWriter& w) const {
   engine_.save(w);
 }
 
-Engine::Action R2c2Sim::rebuild_event(const EventDesc& desc) {
-  switch (desc.kind) {
+void R2c2Sim::on_event(const EventDesc& ev) {
+  switch (ev.kind) {
     case kEvLinkFree:
-    case kEvDeliver:
-      return net_.rebuild_event(desc);
-    case kEvStartFlow: {
-      if (desc.a >= arrivals_.size()) {
-        throw snapshot::SnapshotError("start-flow event references an unknown arrival");
-      }
-      const std::uint64_t index = desc.a;
-      return [this, index] { start_flow(arrivals_[index]); };
-    }
-    case kEvEmitPacket: {
-      const FlowId id = static_cast<FlowId>(desc.a);
-      return [this, id] { emit_packet(id); };
-    }
-    case kEvRecomputeTick:
-      return [this] { recompute_tick(); };
-    case kEvKeepaliveTick:
-      return [this] { keepalive_tick(); };
-    case kEvDetectionTick:
-      return [this] { detection_tick(); };
-    case kEvLeaseTick:
-      return [this] { lease_tick(); };
-    case kEvGcTick:
-      return [this] { gc_tick(); };
-    case kEvRebuildContext:
-      return [this] { rebuild_context(); };
-    case kEvCongestionTick:
-      return [this] { congestion_tick(); };
-    case kEvFaultApply:
-      if (!injector_) {
-        throw snapshot::SnapshotError("fault event archived but no fault script configured");
-      }
-      return injector_->rebuild_event(desc);
-    case kEvService:
-      if (service_ == nullptr) {
-        throw snapshot::SnapshotError("service event archived but no service layer attached");
-      }
-      return service_->rebuild_service_event(desc);
-    case kEvCtrlRetransmit: {
-      const std::uint64_t slot = desc.a;
-      if (desc.b >= topo_.num_links()) {
-        throw snapshot::SnapshotError("control-retransmit event references an unknown link");
-      }
-      const LinkId link = static_cast<LinkId>(desc.b);
-      return [this, slot, link] { net_.send_on_link(link, net_.take_parked(slot)); };
-    }
-    default:
-      throw snapshot::SnapshotError("unknown archived event kind " + std::to_string(desc.kind));
+    case kEvDeliver: return net_.on_event(ev);
+    case kEvStartFlow: start_flow(arrivals_[ev.a]); return;
+    case kEvEmitPacket: return emit_packet(static_cast<FlowId>(ev.a));
+    case kEvRecomputeTick: return recompute_tick();
+    case kEvKeepaliveTick: return keepalive_tick();
+    case kEvDetectionTick: return detection_tick();
+    case kEvLeaseTick: return lease_tick();
+    case kEvGcTick: return gc_tick();
+    case kEvRebuildContext: return rebuild_context();
+    case kEvFaultApply: return injector_->on_event(ev);
+    case kEvCtrlRetransmit:
+      return net_.send_on_link(static_cast<LinkId>(ev.b), net_.take_parked(ev.a));
+    case kEvCongestionTick: return congestion_tick();
+    case kEvService: return service_->on_service_event(ev);
+    default: assert(false && "R2c2Sim scheduled an event kind it does not dispatch");
+  }
+}
+
+// Operand-free kinds need no check beyond being R2C2 kinds; parked slots
+// are checked by Network::load against the archived stores.
+void R2c2Sim::validate_event(const EventDesc& ev) const {
+  using snapshot::SnapshotError;
+  if (ev.kind == 0 || ev.kind > kEvService) {
+    throw SnapshotError("unknown archived event kind " + std::to_string(ev.kind));
+  }
+  const bool bad_index =
+      (ev.kind == kEvLinkFree && ev.a >= topo_.num_links()) ||
+      (ev.kind == kEvCtrlRetransmit && ev.b >= topo_.num_links()) ||
+      (ev.kind == kEvStartFlow && ev.a >= arrivals_.size()) ||
+      (ev.kind == kEvFaultApply && injector_ && ev.a >= injector_->script().events.size());
+  if (bad_index) throw SnapshotError("archived event operand out of range");
+  if (ev.kind == kEvFaultApply && !injector_) {
+    throw SnapshotError("fault event archived but no fault script configured");
+  }
+  if (ev.kind == kEvService) {
+    if (service_ == nullptr) throw SnapshotError("service event archived but no service layer");
+    service_->validate_service_event(ev);
   }
 }
 
@@ -2009,6 +1989,9 @@ void R2c2Sim::load(snapshot::ArchiveReader& r) {
   if (injector_ && !r.has_section("fault_injector")) {
     throw snapshot::SnapshotError("fault script configured but archive has no fault state");
   }
+  if (!injector_ && r.has_section("fault_injector")) {
+    throw snapshot::SnapshotError("archive carries fault state but no script is configured");
+  }
   if (sharded_ && !r.has_section("sim.shards")) {
     throw snapshot::SnapshotError("sharded sim configured but archive has no shard state");
   }
@@ -2018,6 +2001,15 @@ void R2c2Sim::load(snapshot::ArchiveReader& r) {
   if (service_ == nullptr && r.has_section("service.core")) {
     throw snapshot::SnapshotError("archive carries service state but no service layer attached");
   }
+  // Every pending event is checked before anything commits: the queue is
+  // parsed here and committed last, and the parked-packet slots its
+  // deliveries and retransmits take from are checked by net_.load, the
+  // first subsystem to commit.
+  std::vector<std::uint64_t> parked_refs;
+  Engine::Queue queue = engine_.parse(r, [this, &parked_refs](const EventDesc& ev) {
+    validate_event(ev);
+    if (ev.kind == kEvDeliver || ev.kind == kEvCtrlRetransmit) parked_refs.push_back(ev.a);
+  });
 
   r.open_section("sim.core");
   std::array<std::uint64_t, 4> rng_state{};
@@ -2218,6 +2210,7 @@ void R2c2Sim::load(snapshot::ArchiveReader& r) {
 
   // All sim-local sections parsed; commit, then restore the subsystems
   // (each is parse-then-commit internally) and rebuild derived state.
+  net_.load(r, parked_refs);
   rng_.set_state(rng_state);
   router_epoch_ = router_epoch;
   next_bcast_id_ = next_bcast_id;
@@ -2284,19 +2277,10 @@ void R2c2Sim::load(snapshot::ArchiveReader& r) {
   // Caches: force a waterfill-problem rebuild on the next recomputation.
   wf_built_version_ = ~0ULL;
 
-  // Service state before the engine queue: rebuilt kEvService closures
-  // dispatch against the restored request tables.
   if (service_ != nullptr) service_->load(r);
   global_view_.load(r, "sim.view");
-  net_.load(r);
-  if (injector_) {
-    injector_->load(r);
-  } else if (r.has_section("fault_injector")) {
-    throw snapshot::SnapshotError("archive carries fault state but no script is configured");
-  }
-  // The event queue last: rebuilding delivery closures validates parked
-  // packet slots against the restored network.
-  engine_.load(r, [this](const EventDesc& desc) { return rebuild_event(desc); });
+  if (injector_) injector_->load(r);
+  engine_.commit(std::move(queue));
 }
 
 }  // namespace r2c2::sim

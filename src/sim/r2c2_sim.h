@@ -192,10 +192,12 @@ class ServiceClient {
   // all bytes (`at` = completion time) or was aborted by the transport.
   virtual void on_flow_complete(FlowId id, TimeNs at) = 0;
   virtual void on_flow_abort(FlowId id, TimeNs at) = 0;
-  // Snapshot seam: rebuild the action for an archived kEvService event.
-  // Also used on the live path — schedule_service builds its closure
-  // through this, so live and restored timers are the same code.
-  virtual Engine::Action rebuild_service_event(const EventDesc& desc) = 0;
+  // Executes a kEvService event (a = opcode, b = payload) — live or
+  // restored, the same call.
+  virtual void on_service_event(const EventDesc& ev) = 0;
+  // Snapshot seam: throws SnapshotError on a kEvService descriptor
+  // on_service_event could not execute against the restored state.
+  virtual void validate_service_event(const EventDesc& ev) const = 0;
   // Mixed into the sim's config fingerprint / state digest / archive.
   virtual std::uint64_t service_fingerprint() const = 0;
   virtual void mix_digest(snapshot::Digest& d) const = 0;
@@ -222,9 +224,8 @@ class R2c2Sim {
                             int priority, std::int8_t alg = -1);
 
   // Schedules a service-layer timer on the global lane at time `at` (>= now;
-  // past times clamp to now). The descriptor (kEvService, a, b) archives
-  // with the engine queue and is rebuilt via the client's
-  // rebuild_service_event on load.
+  // past times clamp to now). The descriptor (kEvService, a, b) runs
+  // through the client's on_service_event, live or after a restore.
   void schedule_service(TimeNs at, std::uint64_t a, std::uint64_t b);
 
   // Registers the workload; flows start at their arrival times. Arrivals
@@ -351,7 +352,11 @@ class R2c2Sim {
   FlowId start_flow(const FlowArrival& arrival);
   void notify_service_done(FlowId id, TimeNs at, bool aborted);
   void recompute_tick();
-  Engine::Action rebuild_event(const EventDesc& desc);
+  // The engine's dispatch entry point: one switch over every kind this
+  // simulator schedules (Network, FaultInjector and ServiceLayer kinds are
+  // forwarded). validate_event is its restore-time counterpart.
+  void on_event(const EventDesc& ev);
+  void validate_event(const EventDesc& ev) const;
   void finish_sending(FlowId id);
   void abort_flow(FlowId id);
   ReliableSender::Config rel_config(FlowId id) const;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/engine_gauges.h"
+#include "sim/event_kind.h"
+
 namespace r2c2::sim {
 
 TcpSim::TcpSim(const Topology& topo, const Router& router, TcpSimConfig config)
@@ -13,6 +16,8 @@ TcpSim::TcpSim(const Topology& topo, const Router& router, TcpSimConfig config)
     c_finished_ = &config_.metrics->counter("tcp.flows_finished");
     c_retransmissions_ = &config_.metrics->counter("tcp.retransmissions");
   }
+  engine_.set_handler(
+      [](void* sim, const EventDesc& ev) { static_cast<TcpSim*>(sim)->on_event(ev); }, this);
   net_.set_deliver([this](NodeId at, SimPacket&& pkt) { deliver(at, std::move(pkt)); });
   // Drops are recovered by TCP itself (dup-ACKs / RTO); the recorder still
   // notes them so loss shows up on the trace timeline.
@@ -24,7 +29,18 @@ TcpSim::TcpSim(const Topology& topo, const Router& router, TcpSimConfig config)
 
 void TcpSim::add_flows(const std::vector<FlowArrival>& flows) {
   for (const FlowArrival& f : flows) {
-    engine_.schedule_at(f.start, [this, f] { start_flow(f); });
+    engine_.schedule_at(f.start, EventDesc{kEvStartFlow, arrivals_.size(), 0});
+    arrivals_.push_back(f);
+  }
+}
+
+void TcpSim::on_event(const EventDesc& ev) {
+  switch (ev.kind) {
+    case kEvLinkFree:
+    case kEvDeliver: return net_.on_event(ev);
+    case kEvStartFlow: return start_flow(arrivals_[ev.a]);
+    case kEvTcpRto: return on_rto(static_cast<FlowId>(ev.a), ev.b);
+    default: assert(false && "TcpSim scheduled an event kind it does not dispatch");
   }
 }
 
@@ -38,6 +54,10 @@ RunMetrics TcpSim::run(TimeNs until) {
   m.drops = net_.drops();
   m.events = engine_.total_events();
   m.sim_end = engine_.now();
+  if (config_.metrics != nullptr) {
+    const Engine::KindCounts kinds = engine_.kind_events();
+    obs::publish_engine_kinds(*config_.metrics, kEventKindNames, kinds);
+  }
   return m;
 }
 
@@ -120,7 +140,7 @@ void TcpSim::arm_rto(FlowId id) {
   if (it == senders_.end() || it->second.done) return;
   Sender& s = it->second;
   const std::uint64_t epoch = ++s.rto_epoch;
-  engine_.schedule_in(s.rto, [this, id, epoch] { on_rto(id, epoch); });
+  engine_.schedule_in(s.rto, EventDesc{kEvTcpRto, id, epoch});
 }
 
 void TcpSim::on_rto(FlowId id, std::uint64_t epoch) {

@@ -83,6 +83,8 @@ class TcpSim {
     ReorderTracker reorder;
   };
 
+  // Engine dispatch: Network events, kEvStartFlow and kEvTcpRto.
+  void on_event(const EventDesc& ev);
   void start_flow(const FlowArrival& arrival);
   void deliver(NodeId at, SimPacket&& pkt);
   void on_data(SimPacket&& pkt);
@@ -100,6 +102,7 @@ class TcpSim {
   Network net_;
   Rng rng_;
 
+  std::vector<FlowArrival> arrivals_;  // kEvStartFlow operand a indexes this
   std::unordered_map<FlowId, Sender> senders_;
   std::unordered_map<FlowId, Receiver> receivers_;
   std::vector<FlowRecord> records_;

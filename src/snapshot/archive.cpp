@@ -176,6 +176,13 @@ bool ArchiveReader::has_section(std::string_view tag) const {
   return false;
 }
 
+std::vector<std::string> ArchiveReader::section_tags() const {
+  std::vector<std::string> tags;
+  tags.reserve(sections_.size());
+  for (const auto& [name, entry] : sections_) tags.push_back(name);
+  return tags;
+}
+
 void ArchiveReader::open_section(std::string_view tag) {
   if (in_section_) {
     throw SnapshotError("section '" + open_tag_ + "' still open when opening '" +

@@ -110,6 +110,8 @@ class ArchiveReader {
   // Throws if the section payload was not consumed exactly.
   void close_section();
   bool has_section(std::string_view tag) const;
+  // Every section's tag, in archive order.
+  std::vector<std::string> section_tags() const;
 
   std::uint8_t u8();
   std::uint16_t u16();

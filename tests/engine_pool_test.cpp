@@ -1,7 +1,7 @@
 // Steady-state allocation checks for the event engine and the packet park
 // store, using the counting-allocator idiom (every operator new in this
-// binary bumps g_allocations). Once the heaps, inline action buffers and
-// park free-lists are warm, scheduling/running events and parking/taking
+// binary bumps g_allocations). Once the heap arrays and the park
+// free-lists are warm, scheduling/running events and parking/taking
 // packets must not touch the allocator at all.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <new>
 
 #include "sim/engine.h"
+#include "sim/event_kind.h"
 #include "sim/network.h"
 #include "topology/topology.h"
 
@@ -71,14 +72,20 @@ namespace {
 
 constexpr int kEventsPerLane = 64;
 
-// Schedules kEventsPerLane counter bumps onto every shard lane in [from,
-// to) and runs them. Lambdas capture one pointer: well inside the Action
-// inline buffer, so a warm heap array makes the whole cycle allocation-free.
-void run_round(Engine& e, std::uint64_t* counter, TimeNs from, TimeNs to) {
+// Counts dispatched events; the handler touches no allocator.
+struct Counter {
+  std::uint64_t n = 0;
+  void on_event(const EventDesc&) { ++n; }
+};
+
+// Schedules kEventsPerLane events onto every shard lane in [from, to) and
+// runs them. Heap entries are plain descriptors, so a warm heap array
+// makes the whole cycle allocation-free.
+void run_round(Engine& e, TimeNs from, TimeNs to) {
   const TimeNs step = (to - from) / kEventsPerLane;
   for (int lane = 0; lane < e.shards(); ++lane) {
     for (int i = 0; i < kEventsPerLane; ++i) {
-      e.schedule_on(lane, from + i * step, EventDesc{}, [counter] { ++*counter; });
+      e.schedule_on(lane, from + i * step, EventDesc{kEvEmitPacket, 0, 0});
     }
   }
   e.run(to);
@@ -87,28 +94,31 @@ void run_round(Engine& e, std::uint64_t* counter, TimeNs from, TimeNs to) {
 TEST(EnginePool, ShardedSteadyStateIsAllocationFree) {
   Engine e;
   e.configure_shards(4, 1, /*lookahead=*/100);
-  std::uint64_t counter = 0;
+  Counter counter;
+  e.set_handler(counter);
   // Warm-up: grow each lane's heap array to its working size.
-  run_round(e, &counter, 0, 10'000);
-  run_round(e, &counter, 10'000, 20'000);
-  ASSERT_EQ(counter, 2u * 4 * kEventsPerLane);
+  run_round(e, 0, 10'000);
+  run_round(e, 10'000, 20'000);
+  ASSERT_EQ(counter.n, 2u * 4 * kEventsPerLane);
 
   const std::uint64_t before = g_allocations.load();
-  run_round(e, &counter, 20'000, 30'000);
+  run_round(e, 20'000, 30'000);
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "sharded schedule/run steady state allocated";
-  EXPECT_EQ(counter, 3u * 4 * kEventsPerLane);
+  EXPECT_EQ(counter.n, 3u * 4 * kEventsPerLane);
 }
 
 TEST(EnginePool, SerialSteadyStateIsAllocationFree) {
   Engine e;
-  std::uint64_t counter = 0;
-  run_round(e, &counter, 0, 10'000);  // shards() == 1: lane 0 only
-  run_round(e, &counter, 10'000, 20'000);
+  Counter counter;
+  e.set_handler(counter);
+  run_round(e, 0, 10'000);  // shards() == 1: lane 0 only
+  run_round(e, 10'000, 20'000);
 
   const std::uint64_t before = g_allocations.load();
-  run_round(e, &counter, 20'000, 30'000);
+  run_round(e, 20'000, 30'000);
   EXPECT_EQ(g_allocations.load() - before, 0u) << "serial schedule/run steady state allocated";
+  EXPECT_EQ(counter.n, 3u * kEventsPerLane);
 }
 
 TEST(EnginePool, ParkedPacketsReuseSlots) {

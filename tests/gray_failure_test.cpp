@@ -70,6 +70,7 @@ class GrayNetworkTest : public ::testing::Test {
 TEST_F(GrayNetworkTest, LossIsPerDirection) {
   Engine e;
   Network net(e, topo_, {});
+  e.set_handler(net);
   int delivered = 0;
   net.set_deliver([&](NodeId, SimPacket&&) { ++delivered; });
   LinkDegrade gray;
@@ -86,6 +87,7 @@ TEST_F(GrayNetworkTest, LossIsPerDirection) {
 TEST_F(GrayNetworkTest, AddedLatencyShiftsArrivalExactly) {
   Engine e;
   Network net(e, topo_, {});
+  e.set_handler(net);
   TimeNs arrival = -1;
   net.set_deliver([&](NodeId, SimPacket&&) { arrival = e.now(); });
   LinkDegrade gray;
@@ -101,6 +103,7 @@ TEST_F(GrayNetworkTest, JitterIsBoundedAndDeterministic) {
   auto run_once = [&] {
     Engine e;
     Network net(e, topo_, {});
+    e.set_handler(net);
     std::vector<TimeNs> arrivals;
     net.set_deliver([&](NodeId, SimPacket&&) { arrivals.push_back(e.now()); });
     LinkDegrade gray;
@@ -125,6 +128,21 @@ TEST_F(GrayNetworkTest, JitterIsBoundedAndDeterministic) {
 TEST_F(GrayNetworkTest, FlapOscillatorGoesDarkPeriodically) {
   Engine e;
   Network net(e, topo_, {});
+  // Test kind: inject packet a at node 0; everything else is the network's.
+  constexpr std::uint32_t kSend = 100;
+  std::vector<SimPacket> packets{data_packet({0, 1}, 1500), data_packet({0, 1}, 1500)};
+  struct Handler {
+    Network& net;
+    std::vector<SimPacket>& packets;
+    void on_event(const sim::EventDesc& ev) {
+      if (ev.kind == kSend) {
+        net.forward(0, std::move(packets[ev.a]));
+      } else {
+        net.on_event(ev);
+      }
+    }
+  } handler{net, packets};
+  e.set_handler(handler);
   int delivered = 0;
   net.set_deliver([&](NodeId, SimPacket&&) { ++delivered; });
   LinkDegrade gray;
@@ -135,10 +153,8 @@ TEST_F(GrayNetworkTest, FlapOscillatorGoesDarkPeriodically) {
   // The flap gate is sampled when serialization *starts* (try_transmit),
   // so keep the port idle between sends: packet one transmits at t=100
   // (dark: 100 % 1000 < 500), packet two at t=1600 (up: 600 >= 500).
-  e.schedule_at(100, sim::EventDesc{0, 0, 0},
-                [&] { net.forward(0, data_packet({0, 1}, 1500)); });
-  e.schedule_at(1600, sim::EventDesc{0, 0, 0},
-                [&] { net.forward(0, data_packet({0, 1}, 1500)); });
+  e.schedule_at(100, sim::EventDesc{kSend, 0, 0});
+  e.schedule_at(1600, sim::EventDesc{kSend, 1, 0});
   e.run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(net.gray_drops(), 1u);
@@ -155,6 +171,7 @@ TEST(GrayInjector, OneWayFailTakesOnlyOneDirectionDark) {
   script.events.push_back(FaultScript::fail_one_way(100, fwd));
   script.events.push_back(FaultScript::restore_one_way(300, fwd));
   FaultInjector injector(e, net, topo, script);
+  e.set_handler(injector);  // only fault events are scheduled
   injector.arm();
   e.run(200);
   EXPECT_FALSE(injector.link_up(fwd));
@@ -177,6 +194,7 @@ TEST(GrayInjector, OneWayDegradeLeavesReverseClean) {
   script.events.push_back(FaultScript::degrade_one_way(100, fwd, gray));
   script.events.push_back(FaultScript::clear_degrade_one_way(300, fwd));
   FaultInjector injector(e, net, topo, script);
+  e.set_handler(injector);  // only fault events are scheduled
   injector.arm();
   e.run(200);
   EXPECT_TRUE(injector.link_degrade(fwd).active());

@@ -8,9 +8,13 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "routing/routing.h"
+#include "sim/event_kind.h"
 #include "sim/r2c2_sim.h"
 #include "snapshot/archive.h"
 #include "snapshot/replay.h"
@@ -73,6 +77,39 @@ TEST(ShardedSim, ResumeUnderDifferentWorkerCount) {
   const snapshot::ReplayResult got = resumed.run();
   EXPECT_EQ(want.final_digest, got.final_digest);
   EXPECT_EQ(want.metrics_digest, got.metrics_digest);
+}
+
+// Per-kind event counts (engine.kind.<name>.events) are observability
+// only, yet a function of the trajectory: identical at 1 and 4 workers,
+// summing to the executed events, with one start-flow event per flow.
+TEST(ShardedSim, PerKindEventCountsIdenticalAcrossWorkerCounts) {
+#if !R2C2_TRACING_ENABLED
+  GTEST_SKIP() << "per-kind counts are compiled out with R2C2_TRACING=OFF";
+#endif
+  const auto counts = [](int workers) {
+    snapshot::Scenario sc(sharded_config(4, workers));
+    const snapshot::ReplayResult res = sc.run();
+    const obs::MetricsRegistry& reg = sc.simulator().metrics();
+    std::vector<std::uint64_t> out;
+    std::uint64_t sum = 0;
+    for (const char* name : sim::kEventKindNames) {
+      if (name == nullptr) continue;
+      const obs::Gauge* g = reg.find_gauge(std::string("engine.kind.") + name + ".events");
+      EXPECT_NE(g, nullptr) << name;
+      const auto n = g != nullptr ? static_cast<std::uint64_t>(g->value()) : 0;
+      out.push_back(n);
+      sum += n;
+    }
+    EXPECT_EQ(sum, res.metrics.events);
+    const obs::Counter* started = reg.find_counter("r2c2.flows_started");
+    EXPECT_NE(started, nullptr);
+    if (started != nullptr) {
+      EXPECT_EQ(out[sim::kEvStartFlow - 1], started->value());
+    }
+    EXPECT_GT(out[sim::kEvDeliver - 1], 0u);
+    return out;
+  };
+  EXPECT_EQ(counts(1), counts(4));
 }
 
 TEST(ShardedSim, ShardedRequiresPeriodicRecompute) {

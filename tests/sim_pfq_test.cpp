@@ -2,6 +2,7 @@
 
 #include "common/stats.h"
 #include "sim/pfq_sim.h"
+#include "snapshot/replay.h"
 
 namespace r2c2::sim {
 namespace {
@@ -122,6 +123,26 @@ TEST(PfqSim, WorkConservingUnderSpray) {
   const RunMetrics m = sim.run();
   ASSERT_TRUE(m.flows[0].finished());
   EXPECT_GT(m.flows[0].throughput_bps(), 11e9);  // multipath gain
+}
+
+// Pins the whole PfqSim trajectory — round-robin service, back-pressure
+// and in-flight packets — to a reference RunMetrics digest for one small
+// fixed-seed run. Any change to the engine's ordering or to PFQ's
+// behaviour moves it.
+TEST(PfqSim, FixedSeedRunMetricsDigestIsPinned) {
+  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  PfqSim sim(topo, router, {});
+  WorkloadConfig wl;
+  wl.num_nodes = topo.num_nodes();
+  wl.num_flows = 80;
+  wl.mean_interarrival = 2 * kNsPerUs;
+  wl.max_bytes = 256 * 1024;
+  wl.seed = 5;
+  sim.add_flows(generate_poisson_uniform(wl));
+  const RunMetrics m = sim.run();
+  EXPECT_EQ(m.events, 7230u);
+  EXPECT_EQ(snapshot::metrics_digest(m), 0x7497f51bed40ea1bULL);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include "common/stats.h"
 #include "sim/tcp_sim.h"
+#include "snapshot/replay.h"
 
 namespace r2c2::sim {
 namespace {
@@ -143,6 +144,29 @@ TEST(TcpSim, QueuesFillUpUnlikeR2c2) {
   const RunMetrics m = sim.run();
   const auto max_q = *std::max_element(m.max_queue_bytes.begin(), m.max_queue_bytes.end());
   EXPECT_GT(max_q, 48u * 1024);
+}
+
+// Pins the whole TcpSim trajectory — event order, timers, drops and
+// retransmissions — to a reference RunMetrics digest for one small
+// fixed-seed run with drop-inducing buffers. Any change to the engine's
+// ordering or to TCP's behaviour moves it.
+TEST(TcpSim, FixedSeedRunMetricsDigestIsPinned) {
+  const Topology topo = make_torus({4, 4}, 10 * kGbps, 100);
+  const Router router(topo);
+  TcpSimConfig cfg;
+  cfg.net.data_buffer_bytes = 6 * 1024;
+  TcpSim sim(topo, router, cfg);
+  WorkloadConfig wl;
+  wl.num_nodes = topo.num_nodes();
+  wl.num_flows = 80;
+  wl.mean_interarrival = 2 * kNsPerUs;
+  wl.max_bytes = 256 * 1024;
+  wl.seed = 5;
+  sim.add_flows(generate_poisson_uniform(wl));
+  const RunMetrics m = sim.run();
+  EXPECT_GT(sim.retransmissions(), 0u);
+  EXPECT_EQ(m.events, 17075u);
+  EXPECT_EQ(snapshot::metrics_digest(m), 0xf0224f2140c45ea4ULL);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <ostream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "broadcast/broadcast.h"
 #include "r2c2/stack.h"
 #include "sim/engine.h"
+#include "sim/event_kind.h"
 #include "snapshot/archive.h"
 #include "snapshot/digest.h"
 #include "snapshot/replay.h"
@@ -150,49 +152,78 @@ TEST(DigestLog, FileRoundTripAndFirstDivergence) {
 // --- Engine event-queue round trip ----------------------------------------
 
 TEST(EngineSnapshot, PendingQueueRoundTripsAndReplaysIdentically) {
-  // Two engines execute the same tagged schedule; one is serialized midway
-  // and restored into a third. The restored engine must replay the exact
+  // Two engines execute the same schedule; one is serialized midway and
+  // restored into a third. The restored engine must replay the exact
   // remaining interleaving, including (time, seq) ties.
   constexpr std::uint32_t kKind = 42;
-  auto scheduled = [](Engine& e, std::vector<std::uint64_t>& log) {
+  struct Log {
+    std::vector<std::uint64_t> order;
+    void on_event(const EventDesc& ev) { order.push_back(ev.a); }
+  };
+  auto scheduled = [](Engine& e) {
     for (std::uint64_t i = 0; i < 8; ++i) {
-      e.schedule_at(static_cast<TimeNs>(10 * (i % 3)), EventDesc{kKind, i, 0},
-                    [&log, i] { log.push_back(i); });
+      e.schedule_at(static_cast<TimeNs>(10 * (i % 3)), EventDesc{kKind, i, 0});
     }
   };
-  std::vector<std::uint64_t> ref_log;
+  Log ref_log;
   Engine ref;
-  scheduled(ref, ref_log);
+  ref.set_handler(ref_log);
+  scheduled(ref);
   ref.run();
 
-  std::vector<std::uint64_t> src_log;
+  Log src_log;
   Engine src;
-  scheduled(src, src_log);
+  src.set_handler(src_log);
+  scheduled(src);
   src.run(5);  // partial: only the t=0 events fired
   ArchiveWriter w;
   src.save(w);
 
-  std::vector<std::uint64_t> restored_log = src_log;
+  Log restored_log = src_log;
   Engine restored;
+  restored.set_handler(restored_log);
   ArchiveReader r(w.finish());
-  restored.load(r, [&restored_log](const EventDesc& d) -> Engine::Action {
+  restored.load(r, [](const EventDesc& d) {
     if (d.kind != kKind) throw SnapshotError("unknown kind");
-    const std::uint64_t i = d.a;
-    return [&restored_log, i] { restored_log.push_back(i); };
   });
   EXPECT_EQ(restored.now(), src.now());
   EXPECT_EQ(restored.pending(), src.pending());
   EXPECT_EQ(restored.next_seq(), src.next_seq());
   restored.run();
-  EXPECT_EQ(restored_log, ref_log);
+  EXPECT_EQ(restored_log.order, ref_log.order);
   EXPECT_EQ(restored.total_events(), ref.total_events());
 }
 
-TEST(EngineSnapshot, OpaqueEventsMakeTheQueueUnsaveable) {
-  Engine e;
-  e.schedule_at(5, [] {});  // untagged: kind 0
+TEST(EngineSnapshot, RejectedDescriptorLeavesTheEngineUntouched) {
+  // The validator rejects the last archived event; load() must throw with
+  // the engine's clock, counters and queue exactly as they were.
+  struct Sink {
+    void on_event(const EventDesc&) {}
+  } sink;
+  Engine src;
+  src.set_handler(sink);
+  for (std::uint64_t i = 0; i < 5; ++i) src.schedule_at(static_cast<TimeNs>(i), {7, i, 0});
   ArchiveWriter w;
-  EXPECT_THROW(e.save(w), SnapshotError);
+  src.save(w);
+  const std::vector<std::uint8_t> bytes = w.finish();
+
+  Engine e;
+  e.set_handler(sink);
+  e.schedule_at(3, {7, 99, 0});
+  e.run(2);
+  Digest before;
+  e.mix_digest(before);
+  ArchiveReader r(bytes);
+  EXPECT_THROW(e.load(r,
+                      [](const EventDesc& d) {
+                        if (d.a == 4) throw SnapshotError("rejected");
+                      }),
+               SnapshotError);
+  Digest after;
+  e.mix_digest(after);
+  EXPECT_EQ(after.value(), before.value());
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.now(), 2);
 }
 
 // --- R2c2Stack state capture ----------------------------------------------
@@ -388,6 +419,105 @@ TEST(SimSnapshot, TruncationAndBitFlipSweepRejectedWithoutPartialMutation) {
   EXPECT_EQ(caught_in_ctor + caught_in_load, flips);
   EXPECT_GT(caught_in_ctor, 0u);  // checksums did real work
 }
+
+// Re-seals `bytes` with the first pending event of the engine section
+// replaced by `ev` (same time and key, so the heap stays well-formed);
+// every other section is copied verbatim.
+std::vector<std::uint8_t> with_first_event(const std::vector<std::uint8_t>& bytes,
+                                           const EventDesc& ev) {
+  ArchiveReader r(bytes);
+  ArchiveWriter w;
+  for (const std::string& tag : r.section_tags()) {
+    r.open_section(tag);
+    w.begin_section(tag);
+    if (tag == "engine") {
+      bool replaced = false;
+      while (r.remaining() > 0) {
+        w.i64(r.i64());  // lane clock
+        w.u64(r.u64());  // key counter
+        w.u64(r.u64());  // events executed
+        const std::uint64_t count = r.u64();
+        w.u64(count);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          w.i64(r.i64());
+          w.u64(r.u64());
+          EventDesc d{r.u32(), r.u64(), r.u64()};
+          if (!replaced) d = ev;
+          replaced = true;
+          w.u32(d.kind);
+          w.u64(d.a);
+          w.u64(d.b);
+        }
+      }
+      EXPECT_TRUE(replaced) << "no pending event to replace";
+    } else {
+      std::vector<std::uint8_t> payload(r.remaining());
+      r.bytes(payload);
+      w.bytes(payload);
+    }
+    r.close_section();
+    w.end_section();
+  }
+  return w.finish();
+}
+
+struct BadEvent {
+  std::string name;
+  std::string scenario;
+  EventDesc ev;
+};
+
+// Printed into the registered test name: the case name only, never bytes
+// of the object (its strings' heap addresses change from run to run).
+void PrintTo(const BadEvent& bad, std::ostream* os) { *os << bad.name; }
+
+class BadEventRejected : public ::testing::TestWithParam<BadEvent> {};
+
+// A well-formed archive whose queue holds one descriptor the dispatcher
+// could not execute is rejected with a SnapshotError, before anything
+// commits: the simulator's state digest is unchanged.
+TEST_P(BadEventRejected, WithoutPartialMutation) {
+  const BadEvent& bad = GetParam();
+  const ReplayConfig cfg = scenario_config(bad.scenario, 1);
+  const auto [bytes, snap_at] = golden_snapshot(cfg, 400 * kNsPerUs);
+  {
+    // The re-sealing itself is faithful: an unchanged first event gives
+    // back the golden bytes, which load.
+    ArchiveReader golden(bytes);
+    golden.open_section("engine");
+    golden.i64();
+    golden.u64();
+    golden.u64();
+    ASSERT_GT(golden.u64(), 0u);
+    golden.i64();
+    golden.u64();
+    const EventDesc first{golden.u32(), golden.u64(), golden.u64()};
+    ASSERT_EQ(with_first_event(bytes, first), bytes);
+  }
+  Scenario fresh(cfg);
+  const std::uint64_t before = fresh.simulator().state_digest();
+  ArchiveReader r(with_first_event(bytes, bad.ev));
+  EXPECT_THROW(fresh.simulator().load(r), SnapshotError);
+  EXPECT_EQ(fresh.simulator().state_digest(), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, BadEventRejected,
+    ::testing::Values(
+        BadEvent{"LinkOutOfRange", "fault", {sim::kEvLinkFree, 1u << 20, 0}},
+        BadEvent{"DeliverFromEmptySlot", "fault", {sim::kEvDeliver, 1u << 20, 0}},
+        BadEvent{"RetransmitFromEmptySlot", "fault", {sim::kEvCtrlRetransmit, 1u << 20, 0}},
+        BadEvent{"RetransmitOnUnknownLink", "fault", {sim::kEvCtrlRetransmit, 0, 1u << 20}},
+        BadEvent{"BadArrivalIndex", "fault", {sim::kEvStartFlow, 1u << 20, 0}},
+        BadEvent{"BadFaultIndex", "fault", {sim::kEvFaultApply, 1u << 20, 0}},
+        BadEvent{"FaultEventWithoutInjector", "ga", {sim::kEvFaultApply, 0, 0}},
+        BadEvent{"ServiceEventWithoutLayer", "fault", {sim::kEvService, 0, 0}},
+        BadEvent{"ServiceEventBadTenant", "tenant", {sim::kEvService, 0, 1u << 20}},
+        BadEvent{"ServiceEventBadOpcode", "tenant", {sim::kEvService, 1u << 20, 0}},
+        BadEvent{"KindZero", "fault", {0, 0, 0}},
+        BadEvent{"TransportKindOfAnotherSimulator", "fault", {sim::kEvTcpRto, 1, 1}},
+        BadEvent{"UnknownKind", "fault", {sim::kEvKindCount + 7, 0, 0}}),
+    [](const auto& info) { return info.param.name; });
 
 // --- The headline acceptance test ------------------------------------------
 // Straight-through run vs save-at-k / load-in-fresh-context / resume: the

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <functional>
 #include <numeric>
 #include <vector>
@@ -243,6 +245,53 @@ TEST(Topology, DisconnectedGraphRejected) {
   t.add_node();
   t.add_node();
   EXPECT_THROW(t.finalize(), std::logic_error);
+}
+
+// Reference all-pairs BFS: a std::deque per source, walking each node's
+// out-links in port order. finalize() must produce the same distance
+// matrix, diameter and mean path length byte for byte.
+void expect_matches_reference_bfs(const Topology& t) {
+  constexpr std::uint16_t kUnreach = 0xffff;
+  const std::size_t n = t.num_nodes();
+  std::uint64_t sum = 0;
+  std::uint64_t pairs = 0;
+  int diam = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    std::vector<std::uint16_t> row(n, kUnreach);
+    row[s] = 0;
+    std::deque<NodeId> queue{s};
+    while (!queue.empty()) {
+      const NodeId u = queue.front();
+      queue.pop_front();
+      for (const LinkId id : t.out_links(u)) {
+        const NodeId v = t.link(id).to;
+        if (row[v] == kUnreach) {
+          row[v] = static_cast<std::uint16_t>(row[u] + 1);
+          queue.push_back(v);
+        }
+      }
+    }
+    const auto got = t.distances_from(s);
+    ASSERT_EQ(got.size(), n);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), got.begin())) << "source " << s;
+    for (const std::uint16_t d : row) {
+      if (d == kUnreach || d == 0) continue;
+      sum += d;
+      ++pairs;
+      diam = std::max(diam, static_cast<int>(d));
+    }
+  }
+  EXPECT_EQ(t.diameter(), diam);
+  EXPECT_EQ(t.mean_shortest_path_hops(),
+            pairs > 0 ? static_cast<double>(sum) / static_cast<double>(pairs) : 0.0);
+}
+
+TEST(Topology, FinalizeDistancesMatchReferenceBfs) {
+  expect_matches_reference_bfs(make_torus({8, 8, 8}, 10 * kGbps, 100));
+  expect_matches_reference_bfs(make_mesh({4, 5, 3}, 10 * kGbps, 100));
+  expect_matches_reference_bfs(
+      make_folded_clos({.servers_per_leaf = 6, .num_leaves = 8, .num_spines = 2}));
+  expect_matches_reference_bfs(fail_node(make_torus({4, 4, 4}, 10 * kGbps, 100), 5));
 }
 
 // Parameterized invariants across a family of grids.
