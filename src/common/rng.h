@@ -77,6 +77,11 @@ class Rng {
   // exactly the output stream `other` would have produced.
   const std::array<std::uint64_t, 4>& state() const { return state_; }
   void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
+  // Snapshot visit (src/snapshot/visit.h): the four state words.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    for (auto& word : s.state_) v(word);
+  }
 
   // Exponential with the given mean (= 1/lambda). Used for Poisson
   // inter-arrival times.

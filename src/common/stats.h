@@ -81,11 +81,12 @@ class Ewma {
   bool initialized() const { return initialized_; }
   double value() const { return value_; }
 
-  // Restores a previously observed (value, initialized) pair, for
-  // snapshot/restore (src/snapshot/). Alpha is configuration, not state.
-  void set_state(double value, bool initialized) {
-    value_ = value;
-    initialized_ = initialized;
+  // Snapshot visit (src/snapshot/visit.h): value, then the initialized
+  // flag. Alpha is configuration, not state.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v(s.value_);
+    v(s.initialized_);
   }
 
  private:

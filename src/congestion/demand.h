@@ -37,9 +37,12 @@ class DemandEstimator {
   Bps demand() const { return ewma_.value(); }
   TimeNs period() const { return period_; }
 
-  // Snapshot/restore passthrough (src/snapshot/): the EWMA holds the only
-  // mutable state; period and alpha are configuration.
-  void set_state(double value, bool initialized) { ewma_.set_state(value, initialized); }
+  // Snapshot visit (src/snapshot/visit.h): the EWMA holds the only mutable
+  // state; period and alpha are configuration.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v(s.ewma_);
+  }
 
  private:
   TimeNs period_;

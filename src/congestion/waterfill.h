@@ -52,6 +52,18 @@ struct FlowSpec {
   double weight = 1.0;
   std::uint8_t priority = 0;  // 0 = highest; strictly served first
   Bps demand = kUnlimitedDemand;
+
+  // Snapshot visit (src/snapshot/visit.h).
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v(s.id);
+    v(s.src);
+    v(s.dst);
+    v(s.alg);
+    v(s.weight);
+    v(s.priority);
+    v(s.demand);
+  }
 };
 
 struct AllocationConfig {

@@ -31,8 +31,7 @@
 #include "common/rng.h"
 #include "congestion/waterfill.h"
 #include "packet/packet.h"
-#include "snapshot/archive.h"
-#include "snapshot/digest.h"
+#include "snapshot/visit.h"
 
 namespace r2c2 {
 
@@ -88,17 +87,25 @@ class FlowTable {
   // --- Snapshot support (src/snapshot/) ---
   // Entries are archived sorted by key, so a table rebuilt from its own
   // archive is byte-identical regardless of either table's hash-map
-  // insertion history. `save` takes a caller-chosen section tag because a
-  // simulation holds one table per node.
-  void save(snapshot::ArchiveWriter& w, const std::string& tag) const;
-  void load(snapshot::ArchiveReader& r, const std::string& tag);
-  // Mixes contents (sorted by key), view hash, version and GC counter.
-  void mix_digest(snapshot::Digest& d) const;
+  // insertion history. The owner chooses the section the table lives in
+  // (a simulation holds one table per node).
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    snapshot::sorted_map(v, s.entries_, "duplicate flow key in archived table");
+    v(s.view_hash_);
+    v(s.version_);
+    v(s.ghosts_expired_);
+  }
 
  private:
   struct Entry {
     FlowSpec spec;
     TimeNs lease = 0;
+    template <class V, class S>
+    static void visit(V& v, S& s) {
+      v(s.spec);
+      v(s.lease);
+    }
   };
 
   static std::uint64_t entry_hash(std::uint32_t key, const FlowSpec& spec);

@@ -30,6 +30,7 @@
 
 #include "common/types.h"
 #include "routing/routing.h"
+#include "snapshot/visit.h"
 
 namespace r2c2 {
 
@@ -67,6 +68,15 @@ class RouteCode {
   static RouteCode from_bits(const std::array<std::uint8_t, 16>& bits, int length);
 
   bool operator==(const RouteCode&) const = default;
+
+  // Snapshot visit (src/snapshot/visit.h): the 16 route bytes, then the
+  // hop count as one byte.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v.bytes(s.bits_);
+    snapshot::as<std::uint8_t>(v, s.length_);
+    v.require(s.length_ <= kMaxRouteHops, "archived route longer than the route format allows");
+  }
 
  private:
   std::array<std::uint8_t, 16> bits_{};
@@ -119,6 +129,20 @@ struct BroadcastMsg {
   RouteAlg rp = RouteAlg::kRps;  // routing strategy between the two nodes
 
   static constexpr std::size_t kWireSize = 16;
+
+  // Snapshot visit (src/snapshot/visit.h); unrelated to the wire format.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v(s.type);
+    v(s.src);
+    v(s.dst);
+    v(s.fseq);
+    v(s.weight);
+    v(s.priority);
+    v(s.demand_kbps);
+    v(s.tree);
+    v(s.rp);
+  }
 
   void serialize(std::span<std::uint8_t> out) const;
   static std::optional<BroadcastMsg> parse(std::span<const std::uint8_t> in);

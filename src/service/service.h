@@ -141,7 +141,99 @@ struct SloReport {
   TimeNs span = 0;  // sim time the goodput is measured over
 };
 
-class ServiceLayer : public sim::ServiceClient {
+// The archived part of a ServiceLayer: per-tenant generators, counters and
+// latency histograms, the in-flight requests and the flow -> request map.
+struct ServiceState {
+  // YCSB-style zipfian sampler over [0, n); rejection-free closed form
+  // with precomputed zeta(n, theta). Derived from (config, shifted flag),
+  // never archived.
+  struct Zipf {
+    std::uint64_t n = 1;
+    double theta = 0.0;
+    double zetan = 1.0;
+    double zeta2 = 1.0;
+    double alpha = 1.0;
+    double eta = 1.0;
+    void init(std::uint64_t n_, double theta_);
+    std::uint64_t draw(Rng& rng) const;
+  };
+
+  struct TenantState {
+    Rng rng;
+    std::uint64_t issued = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t timed_out = 0;
+    std::uint64_t aborted = 0;
+    std::uint64_t slo_violations = 0;
+    std::uint64_t bytes_delivered = 0;
+    std::uint32_t outstanding = 0;
+    bool shifted = false;  // storage workload shift applied
+    obs::Histogram latency_ns;
+    Zipf zipf;  // storage only; derived state
+
+    template <class V, class S>
+    static void visit(V& v, S& s) {
+      v(s.rng);
+      v(s.issued);
+      v(s.completed);
+      v(s.timed_out);
+      v(s.aborted);
+      v(s.slo_violations);
+      v(s.bytes_delivered);
+      v(s.outstanding);
+      v(s.shifted);
+      v(s.latency_ns);
+    }
+  };
+
+  // One in-flight request. kRpc/kStorage: one upstream flow, one response.
+  // kIncast: `remaining` counts outstanding leaf responses; leaf node ids
+  // are recomputed from (seq, leaf index), not stored.
+  struct Request {
+    std::uint32_t tenant = 0;
+    NodeId client = 0;
+    NodeId server = 0;  // rpc/storage responder
+    TimeNs issued = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t response_bytes = 0;
+    std::uint64_t total_bytes = 0;  // payload accounted at completion
+    std::uint32_t remaining = 0;    // responses still outstanding
+
+    template <class V, class S>
+    static void visit(V& v, S& s) {
+      v(s.tenant);
+      v(s.client);
+      v(s.server);
+      v(s.issued);
+      v(s.seq);
+      v(s.response_bytes);
+      v(s.total_bytes);
+      v(s.remaining);
+    }
+  };
+
+  // Maps a service-issued flow back to its request. role 0 = upstream
+  // (request/query/write payload), role 1 = downstream (response).
+  struct FlowRef {
+    std::uint64_t req = 0;
+    std::uint8_t role = 0;
+    std::uint8_t leaf = 0;
+
+    template <class V, class S>
+    static void visit(V& v, S& s) {
+      v(s.req);
+      v(s.role);
+      v(s.leaf);
+    }
+  };
+
+  std::uint64_t next_req_id_ = 1;
+  std::vector<TenantState> state_;
+  std::unordered_map<std::uint64_t, Request> requests_;
+  std::unordered_map<FlowId, FlowRef> flow_to_req_;
+};
+
+class ServiceLayer : public sim::ServiceClient, private ServiceState {
  public:
   // Attaches itself to the sim; must outlive it. Throws
   // std::invalid_argument on an unusable config (no tenants, empty
@@ -176,6 +268,26 @@ class ServiceLayer : public sim::ServiceClient {
   void save(snapshot::ArchiveWriter& w) const override;
   void load(snapshot::ArchiveReader& r) override;
 
+  // The "service.core" and "service.requests" sections; the three
+  // snapshot virtuals above each run this one walk. S is the ServiceLayer
+  // or a ServiceState.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v.section("service.core", [&] {
+      v(s.next_req_id_);
+      snapshot::fixed(v, s.state_, "archived tenant count does not match service config");
+    });
+    v.section("service.requests", [&] {
+      snapshot::sorted_map(v, s.requests_, "duplicate request in archive",
+                           [&](const auto&, auto& req) {
+                             v(req);
+                             v.require(req.tenant < s.state_.size(),
+                                       "archived request references an unknown tenant");
+                           });
+      snapshot::sorted_map(v, s.flow_to_req_, "duplicate flow ref in archive");
+    });
+  }
+
  private:
   // kEvService opcodes (EventDesc.a); values are part of the snapshot
   // format — add at the end, never renumber.
@@ -186,56 +298,6 @@ class ServiceLayer : public sim::ServiceClient {
     kOpLeafResponse = 3,  // b = (request id << 8) | leaf index
     kOpTimeout = 4,       // b = request id: straggler timeout
     kOpShift = 5,         // b = tenant: apply the storage workload shift
-  };
-
-  // YCSB-style zipfian sampler over [0, n); rejection-free closed form
-  // with precomputed zeta(n, theta). Derived from (config, shifted flag),
-  // never archived.
-  struct Zipf {
-    std::uint64_t n = 1;
-    double theta = 0.0;
-    double zetan = 1.0;
-    double zeta2 = 1.0;
-    double alpha = 1.0;
-    double eta = 1.0;
-    void init(std::uint64_t n_, double theta_);
-    std::uint64_t draw(Rng& rng) const;
-  };
-
-  struct TenantState {
-    Rng rng;
-    std::uint64_t issued = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t aborted = 0;
-    std::uint64_t slo_violations = 0;
-    std::uint64_t bytes_delivered = 0;
-    std::uint32_t outstanding = 0;
-    bool shifted = false;  // storage workload shift applied
-    obs::Histogram latency_ns;
-    Zipf zipf;  // storage only; derived state
-  };
-
-  // One in-flight request. kRpc/kStorage: one upstream flow, one response.
-  // kIncast: `remaining` counts outstanding leaf responses; leaf node ids
-  // are recomputed from (seq, leaf index), not stored.
-  struct Request {
-    std::uint32_t tenant = 0;
-    NodeId client = 0;
-    NodeId server = 0;  // rpc/storage responder
-    TimeNs issued = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t response_bytes = 0;
-    std::uint64_t total_bytes = 0;  // payload accounted at completion
-    std::uint32_t remaining = 0;    // responses still outstanding
-  };
-
-  // Maps a service-issued flow back to its request. role 0 = upstream
-  // (request/query/write payload), role 1 = downstream (response).
-  struct FlowRef {
-    std::uint64_t req = 0;
-    std::uint8_t role = 0;
-    std::uint8_t leaf = 0;
   };
 
   enum class Outcome : std::uint8_t { kCompleted, kTimedOut, kAborted };
@@ -254,10 +316,6 @@ class ServiceLayer : public sim::ServiceClient {
 
   sim::R2c2Sim& sim_;
   ServiceConfig config_;
-  std::vector<TenantState> state_;
-  std::unordered_map<std::uint64_t, Request> requests_;
-  std::unordered_map<FlowId, FlowRef> flow_to_req_;
-  std::uint64_t next_req_id_ = 1;
   bool started_ = false;
 };
 

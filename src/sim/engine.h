@@ -46,6 +46,7 @@
 #include "sim/event_kind.h"
 #include "snapshot/archive.h"
 #include "snapshot/digest.h"
+#include "snapshot/visit.h"
 
 namespace r2c2::sim {
 
@@ -82,6 +83,14 @@ class Engine {
     std::uint64_t key;
     EventDesc desc;
     bool before(const Event& o) const { return time != o.time ? time < o.time : key < o.key; }
+    template <class V, class S>
+    static void visit(V& v, S& s) {
+      v(s.time);
+      v(s.key);
+      v(s.desc.kind);
+      v(s.desc.a);
+      v(s.desc.b);
+    }
   };
 
   // The dispatch entry point: called once per executed event, on the
@@ -271,64 +280,44 @@ class Engine {
   }
 
   // --- Snapshot support (src/snapshot/) ---
-  // Serializes per lane the clock, the key counter and every pending
-  // event's (time, key, descriptor) triple, in heap-array order —
-  // restoring the identical array preserves both the heap invariant and
-  // the exact (time, key) tie-breaking, so a restored engine replays the
-  // same event interleaving bit for bit. With a single lane the layout is
-  // byte-identical to the historical serial format.
+  // The "engine" section: per lane the clock, the key counter, the events
+  // executed and every pending (time, key, descriptor) entry, in heap-array
+  // order. Restoring the identical array preserves both the heap invariant
+  // and the exact (time, key) tie-breaking, so a restored engine replays
+  // the same event interleaving bit for bit. S is the Engine or a Queue.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v.section("engine", [&] {
+      for (auto& lane : s.lanes_) v(lane);
+    });
+  }
   void save(snapshot::ArchiveWriter& w) const {
-    w.begin_section("engine");
-    for (const Lane& lane : lanes_) {
-      w.i64(lane.now);
-      w.u64(lane.next_key);
-      w.u64(lane.events);
-      w.u64(lane.heap.size());
-      for (const Event& e : lane.heap) {
-        w.i64(e.time);
-        w.u64(e.key);
-        w.u32(e.desc.kind);
-        w.u64(e.desc.a);
-        w.u64(e.desc.b);
-      }
-    }
-    w.end_section();
+    snapshot::Writer writer(w);
+    writer(*this);
+  }
+  void mix_digest(snapshot::Digest& d) const {
+    snapshot::Digester digester(d);
+    digester(*this);
   }
 
   // Restores the archived queue in two steps, so a caller can check it
   // against the rest of an archive before anything commits. parse() reads
   // every lane and hands each descriptor to `validate`, which throws
   // SnapshotError on one the dispatcher could not execute; it changes
-  // nothing. commit() then replaces the entire engine state. Each lane's
-  // heap storage is reserved up front, so a large queue costs one
-  // allocation per lane.
+  // nothing. commit() then replaces the entire engine state.
   class Queue {
     friend class Engine;
     std::vector<Lane> lanes_;
   };
   template <typename Validate>
   Queue parse(snapshot::ArchiveReader& r, Validate&& validate) const {
-    r.open_section("engine");
     Queue q;
     q.lanes_.resize(lanes_.size());
-    for (Lane& lane : q.lanes_) {
-      lane.now = r.i64();
-      lane.next_key = r.u64();
-      lane.events = r.u64();
-      const std::uint64_t count = r.u64();
-      lane.heap.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        Event e;
-        e.time = r.i64();
-        e.key = r.u64();
-        e.desc.kind = r.u32();
-        e.desc.a = r.u64();
-        e.desc.b = r.u64();
-        validate(static_cast<const EventDesc&>(e.desc));
-        lane.heap.push_back(e);
-      }
+    snapshot::Reader reader(r);
+    visit(reader, q);
+    for (const Lane& lane : q.lanes_) {
+      for (const Event& e : lane.heap) validate(static_cast<const EventDesc&>(e.desc));
     }
-    r.close_section();
     return q;
   }
   void commit(Queue&& q) {
@@ -340,32 +329,12 @@ class Engine {
       dst.next_key = src.next_key;
       dst.events = src.events;
       // clamped/windows/stalls and the kind counts are observability-only
-      // (not digested): they keep accumulating across a restore.
+      // (not archived): they keep accumulating across a restore.
     }
   }
   template <typename Validate>
   void load(snapshot::ArchiveReader& r, Validate&& validate) {
     commit(parse(r, std::forward<Validate>(validate)));
-  }
-
-  // Mixes per lane the clock, counters and every pending (time, key,
-  // descriptor) into a rolling state digest, in heap-array order
-  // (deterministic for a deterministic schedule history). Single-lane
-  // digests match the historical serial digest exactly.
-  void mix_digest(snapshot::Digest& d) const {
-    for (const Lane& lane : lanes_) {
-      d.mix_i64(lane.now);
-      d.mix(lane.next_key);
-      d.mix(lane.events);
-      d.mix(lane.heap.size());
-      for (const Event& e : lane.heap) {
-        d.mix_i64(e.time);
-        d.mix(e.key);
-        d.mix(e.desc.kind);
-        d.mix(e.desc.a);
-        d.mix(e.desc.b);
-      }
-    }
   }
 
  private:
@@ -382,6 +351,13 @@ class Engine {
 #if R2C2_TRACING_ENABLED
     KindCounts kind_events{};
 #endif
+    template <class V, class S>
+    static void visit(V& v, S& s) {
+      v(s.now);
+      v(s.next_key);
+      v(s.events);
+      snapshot::seq(v, s.heap);
+    }
   };
 
   class Gang;

@@ -8,8 +8,7 @@
 
 #include "common/stats.h"
 #include "common/types.h"
-#include "snapshot/archive.h"
-#include "snapshot/digest.h"
+#include "snapshot/visit.h"
 
 namespace r2c2::sim {
 
@@ -30,6 +29,21 @@ struct FlowRecord {
   // flow is *resolved* — the invariant checkers treat it as accounted for.
   bool aborted = false;
   TimeNs aborted_at = -1;
+
+  // Snapshot visit (src/snapshot/visit.h); metrics_digest walks it too.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v(s.id);
+    v(s.src);
+    v(s.dst);
+    v(s.bytes);
+    v(s.arrival);
+    v(s.completed);
+    v(s.max_reorder_pkts);
+    v(s.avg_assigned_rate_bps);
+    v(s.aborted);
+    v(s.aborted_at);
+  }
 
   bool finished() const { return completed >= 0; }
   // Finished or explicitly aborted: the flow's fate is known.
@@ -56,6 +70,17 @@ struct RecoveryRecord {
   TimeNs detected_at = -1;
   TimeNs recovered_at = -1;
   TimeNs reconverged_at = -1;
+
+  // Snapshot visit (src/snapshot/visit.h); metrics_digest walks it too.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v(s.link);
+    v(s.failure);
+    v(s.injected_at);
+    v(s.detected_at);
+    v(s.recovered_at);
+    v(s.reconverged_at);
+  }
 
   TimeNs detection_ns() const { return detected_at - injected_at; }
   TimeNs reconvergence_ns() const { return reconverged_at - injected_at; }
@@ -147,31 +172,14 @@ class ReorderTracker {
 
   std::uint32_t max_depth() const { return max_depth_; }
 
-  // --- Snapshot support (src/snapshot/). The buffer is serialized verbatim
-  // (its internal order is a deterministic function of arrival history, and
-  // swap-removal makes it order-sensitive going forward).
-  void save(snapshot::ArchiveWriter& w) const {
-    w.u32(next_);
-    w.u32(max_depth_);
-    w.u64(buffered_.size());
-    for (std::uint32_t p : buffered_) w.u32(p);
-  }
-  void load(snapshot::ArchiveReader& r) {
-    const std::uint32_t next = r.u32();
-    const std::uint32_t max_depth = r.u32();
-    const std::uint64_t count = r.u64();
-    std::vector<std::uint32_t> buffered;
-    buffered.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) buffered.push_back(r.u32());
-    next_ = next;
-    max_depth_ = max_depth;
-    buffered_ = std::move(buffered);
-  }
-  void mix_digest(snapshot::Digest& d) const {
-    d.mix(next_);
-    d.mix(max_depth_);
-    d.mix(buffered_.size());
-    for (std::uint32_t p : buffered_) d.mix(p);
+  // Snapshot visit (src/snapshot/visit.h). The buffer is archived verbatim:
+  // its internal order is a deterministic function of arrival history, and
+  // swap-removal makes it order-sensitive going forward.
+  template <class V, class S>
+  static void visit(V& v, S& s) {
+    v(s.next_);
+    v(s.max_depth_);
+    snapshot::seq(v, s.buffered_);
   }
 
  private:

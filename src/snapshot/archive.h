@@ -19,9 +19,10 @@
 // the payload was fully consumed, so format drift between writer and
 // reader surfaces as a SnapshotError, never as silently misaligned state.
 //
-// Loaders follow a parse-then-commit discipline on top of this: read every
-// section into local temporaries first, mutate the target object last, so
-// a failed load leaves the target untouched.
+// What goes into the sections is described once per struct by a visit()
+// function (snapshot/visit.h); loaders parse every section into fresh
+// state first and mutate the target object last, so a failed load leaves
+// the target untouched.
 #pragma once
 
 #include <cstdint>
@@ -45,19 +46,6 @@ inline constexpr char kMagic[8] = {'R', '2', 'C', '2', 'S', 'N', 'A', 'P'};
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
-};
-
-// Interface for objects with full state capture and restore. load() must
-// either succeed completely or leave the object unchanged (parse into
-// temporaries, commit at the end).
-class ArchiveWriter;
-class ArchiveReader;
-
-class Snapshotable {
- public:
-  virtual ~Snapshotable() = default;
-  virtual void save(ArchiveWriter& w) const = 0;
-  virtual void load(ArchiveReader& r) = 0;
 };
 
 class ArchiveWriter {

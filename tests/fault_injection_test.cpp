@@ -7,6 +7,8 @@
 
 #include <deque>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "broadcast/broadcast.h"
@@ -446,6 +448,71 @@ TEST(StackChaos, ViewsReconvergeAfterEveryLossyWave) {
   }
   for (const auto& s : rack.stacks) EXPECT_EQ(s->view().size(), 0u);
   EXPECT_EQ(rack.distinct_views(), 1u);
+}
+
+// --- Leases are required when the script cuts cables ---
+
+// A 48-server folded Clos (8 leaves x 6 servers, 2 spines) whose leaf0 ->
+// spine0 cable fails at 100 us and returns at 250 us, under a Poisson mesh
+// among the servers.
+struct CutClos {
+  Topology topo = make_folded_clos({.servers_per_leaf = 6, .num_leaves = 8, .num_spines = 2});
+  Router router{topo};
+  R2c2SimConfig cfg = self_healing_config();
+  std::vector<FlowArrival> flows;
+
+  CutClos() {
+    const LinkId cable = topo.find_link(48, 56);  // leaf0 -> spine0
+    cfg.faults.events.push_back(FaultScript::fail_link(100 * kNsPerUs, cable));
+    cfg.faults.events.push_back(FaultScript::restore_link(250 * kNsPerUs, cable));
+    WorkloadConfig wl;
+    wl.num_nodes = 48;
+    wl.num_flows = 120;
+    wl.mean_interarrival = 3 * kNsPerUs;
+    wl.max_bytes = 64 * 1024;
+    wl.seed = 11;
+    flows = generate_poisson_uniform(wl);
+  }
+};
+
+TEST(LeaseRequirement, CableCutRunDrainsWithLeases) {
+  CutClos rack;
+  R2c2Sim simulator(rack.topo, rack.router, rack.cfg);
+  simulator.add_flows(rack.flows);
+  const RunMetrics m = simulator.run();
+  EXPECT_TRUE(simulator.idle());
+  EXPECT_EQ(m.failures_injected, 1u);
+  EXPECT_EQ(m.restores_injected, 1u);
+  for (const auto& f : m.flows) EXPECT_TRUE(f.resolved()) << "flow " << f.id;
+}
+
+// Without leases a finish broadcast lost on the cut cable leaves a ghost
+// entry in the global view that keeps the recompute tick alive forever, so
+// the constructor refuses the configuration and says why.
+TEST(LeaseRequirement, CableCutWithoutLeaseIsRejected) {
+  CutClos rack;
+  rack.cfg.lease_interval = 0;
+  try {
+    R2c2Sim simulator(rack.topo, rack.router, rack.cfg);
+    FAIL() << "a cable-cutting script without leases was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ghost"), std::string::npos) << e.what();
+  }
+
+  // Every cutting kind needs leases; restores and gray faults alone do not.
+  const LinkId cable = rack.topo.find_link(48, 56);
+  for (const sim::FaultEvent& cut :
+       {FaultScript::fail_one_way(100 * kNsPerUs, cable), FaultScript::fail_node(100 * kNsPerUs, 48)}) {
+    R2c2SimConfig cfg = rack.cfg;
+    cfg.faults.events = {cut};
+    EXPECT_THROW(R2c2Sim(rack.topo, rack.router, cfg), std::invalid_argument);
+  }
+  R2c2SimConfig gray = rack.cfg;
+  sim::LinkDegrade lossy;
+  lossy.loss_prob = 0.1;
+  gray.faults.events = {FaultScript::degrade_link(100 * kNsPerUs, cable, lossy),
+                        FaultScript::restore_link(250 * kNsPerUs, cable)};
+  EXPECT_NO_THROW(R2c2Sim(rack.topo, rack.router, gray));
 }
 
 }  // namespace
