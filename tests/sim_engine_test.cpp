@@ -9,7 +9,10 @@
 #include "sim/engine.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
+#include "snapshot/archive.h"
 #include "snapshot/digest.h"
+#include "snapshot/visit.h"
+#include "topology/partition.h"
 #include "topology/topology.h"
 
 namespace r2c2::sim {
@@ -430,6 +433,48 @@ TEST_F(NetworkTest, MaxQueueTracksHighWaterMark) {
   const auto snapshot = net.max_queue_snapshot();
   // Three packets queued behind the first one transmitting.
   EXPECT_EQ(snapshot[topo_.find_link(0, 1)], 3u * 1500);
+}
+
+// A sharded network parks a mailed packet in a slot that does not depend
+// on where run_until cut the windows. Node 1 (lane 0) sends packet A to
+// node 2 (lane 1) at 0 and packet B at 150; A lands at 180, inside the
+// window in which B is posted. Run straight, B is drained at that
+// window's end, after A's slot was freed at 180 — but a mailed packet may
+// only reuse a slot freed by its posting time (150), which every horizon
+// sequence has freed by then; a cut at 160 drains B before A lands. Both
+// runs end with the same slot table and free lists.
+TEST_F(NetworkTest, ShardedMailSlotsIgnoreRunUntilHorizons) {
+  constexpr std::uint32_t kSend = 100;  // a = sending node, b = destination
+  const auto run = [this](bool cut) {
+    Engine e;
+    Network net(e, topo_, {});
+    const ShardPlan plan = make_shard_plan(topo_, 2);
+    EXPECT_EQ(plan.lane(1), 0);
+    EXPECT_EQ(plan.lane(2), 1);
+    e.configure_shards(plan.shards, 1, plan.min_cross_latency);
+    net.set_shard_plan(plan);
+    e.set_lane_drain([&net](int lane) { net.drain_mailbox(lane); });
+    net.set_deliver([](NodeId, SimPacket&&) {});
+    Recorder driver;
+    driver.hook = [&](const EventDesc& ev) {
+      if (ev.kind != kSend) return net.on_event(ev);
+      SimPacket p;
+      p.type = PacketType::kFlowStart;
+      p.wire_bytes = 100;  // 80 ns at 10 Gbps, then 100 ns propagation
+      net.send_on_link(topo_.find_link(static_cast<NodeId>(ev.a), static_cast<NodeId>(ev.b)),
+                       std::move(p));
+    };
+    e.set_handler(driver);
+    e.schedule_on(0, 0, {kSend, 1, 2});
+    e.schedule_on(0, 150, {kSend, 1, 2});
+    if (cut) e.run(160);
+    e.run();
+    snapshot::ArchiveWriter w;
+    snapshot::Writer writer(w);
+    writer(net);
+    return w.finish();
+  };
+  EXPECT_EQ(run(false), run(true));
 }
 
 // --- ReorderTracker ---
