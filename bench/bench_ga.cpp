@@ -3,10 +3,11 @@
 // long flows, choices {RPS, VLB}).
 //
 // Three sections, all feeding one JSON report:
-//   1. GA thread scaling (1/2/4/8 threads) — asserts every thread count
-//      returns the bit-identical result (assignment, utility, evaluation
-//      count) as the serial run, and on hosts with enough cores enforces
-//      hard speedup gates (>= 1.5x at 2 threads, >= 3x at 8) plus a
+//   1. GA thread scaling (1/2/4/8 threads, each timed kReps times,
+//      interleaved) — asserts every run returns the bit-identical result
+//      (assignment, utility, evaluation count) as the serial run, and on
+//      hosts with enough cores enforces hard speedup gates on the median
+//      wall times (>= 1.5x at 2 threads, >= 3x at 8) plus a
 //      per-evaluation CPU bound (parallel cost within 2x of the serial
 //      delta path). Thread counts beyond the host's cores are reported
 //      with an "oversub" warning and exempt from the timing gates —
@@ -22,8 +23,9 @@
 // Emits machine-readable JSON to BENCH_ga.json (override with
 // R2C2_BENCH_OUT); the committed baseline lives at
 // bench/baselines/BENCH_ga.json and is referenced from EXPERIMENTS.md.
-// The JSON records hardware_threads so baselines from different machines
-// compare fairly.
+// The JSON records hardware_threads and the build type so baselines from
+// different machines and builds compare fairly.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -62,9 +64,10 @@ std::vector<FlowSpec> ga_flows(const Topology& topo, int n, Rng& rng) {
 
 struct ThreadResult {
   int threads = 0;
-  double wall_ms = 0.0;
+  std::vector<double> wall_runs_ms;  // one per rep, in run order
+  double wall_ms = 0.0;              // median of wall_runs_ms
   bool oversubscribed = false;
-  SelectionResult result;
+  SelectionResult result;  // from the first rep
 };
 
 struct SearcherResult {
@@ -121,45 +124,56 @@ int run() {
   std::printf("host hardware threads: %d\n\n", hardware);
 
   // --- 1. GA thread scaling -----------------------------------------------
+  // A single timing per thread count swings by tens of percent on a shared
+  // host, so each count runs kReps times, interleaved round by round (host
+  // drift lands on every count alike), and the gates read the median.
+  constexpr int kReps = 5;
   std::vector<ThreadResult> results;
   for (const int threads : {1, 2, 4, 8}) {
-    SelectionConfig run_cfg = cfg;
-    run_cfg.threads = threads;
-    const auto t0 = Clock::now();
     ThreadResult r;
     r.threads = threads;
     r.oversubscribed = threads > hardware;
-    r.result = select_routes_ga(router, flows, run_cfg);
-    const auto t1 = Clock::now();
-    r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     results.push_back(std::move(r));
   }
-
-  const ThreadResult& serial = results.front();
   bool identical = true;
-  for (const ThreadResult& r : results) {
-    if (r.result.assignment != serial.result.assignment ||
-        r.result.utility != serial.result.utility ||
-        r.result.evaluations != serial.result.evaluations) {
-      identical = false;
-      std::fprintf(stderr, "DETERMINISM VIOLATION at threads=%d\n", r.threads);
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (ThreadResult& r : results) {
+      SelectionConfig run_cfg = cfg;
+      run_cfg.threads = r.threads;
+      const auto t0 = Clock::now();
+      SelectionResult res = select_routes_ga(router, flows, run_cfg);
+      const auto t1 = Clock::now();
+      r.wall_runs_ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+      if (rep == 0) r.result = res;
+      const SelectionResult& ref = results.front().result;
+      if (res.assignment != ref.assignment || res.utility != ref.utility ||
+          res.evaluations != ref.evaluations) {
+        identical = false;
+        std::fprintf(stderr, "DETERMINISM VIOLATION at threads=%d (rep %d)\n", r.threads, rep);
+      }
     }
   }
+  for (ThreadResult& r : results) {
+    std::vector<double> sorted = r.wall_runs_ms;
+    std::sort(sorted.begin(), sorted.end());
+    r.wall_ms = sorted[sorted.size() / 2];
+  }
+  const ThreadResult& serial = results.front();
 
   // Timing gates, applied only where the host can actually run the lanes
   // in parallel. cpu_per_eval charges the whole wall time to every lane
   // (an upper bound on per-lane busy time), so the 2x bound also caps the
-  // scheduling + speculation overhead of the parallel path.
+  // scheduling overhead of the parallel path.
   bool gates_ok = true;
   const double serial_per_eval = serial.wall_ms / std::max(1, serial.result.evaluations);
-  std::printf("%8s %10s %9s %12s %12s %10s %8s\n", "threads", "wall_ms", "speedup",
-              "utility_gbps", "evaluations", "aborts", "note");
+  std::printf("median of %d interleaved runs per thread count\n", kReps);
+  std::printf("%8s %10s %9s %12s %12s %8s\n", "threads", "wall_ms", "speedup", "utility_gbps",
+              "evaluations", "note");
   for (const ThreadResult& r : results) {
     const double speedup = serial.wall_ms / r.wall_ms;
     const char* note = r.oversubscribed ? "oversub" : "";
-    std::printf("%8d %10.1f %8.2fx %12.2f %12d %10llu %8s\n", r.threads, r.wall_ms, speedup,
-                r.result.utility / 1e9, r.result.evaluations,
-                static_cast<unsigned long long>(r.result.stats.spec_aborts), note);
+    std::printf("%8d %10.1f %8.2fx %12.2f %12d %8s\n", r.threads, r.wall_ms, speedup,
+                r.result.utility / 1e9, r.result.evaluations, note);
     if (r.oversubscribed || r.threads == 1) continue;
     const double required = r.threads >= 8 ? 3.0 : r.threads >= 2 ? 1.5 : 1.0;
     if (speedup < required) {
@@ -267,22 +281,28 @@ int run() {
   std::fprintf(f, "  \"nodes\": %zu,\n  \"flows\": %d,\n", topo.num_nodes(), n_flows);
   std::fprintf(f, "  \"population\": %d,\n  \"max_generations\": %d,\n", cfg.population,
                cfg.max_generations);
-  std::fprintf(f, "  \"hardware_threads\": %d,\n", hardware);
+  std::fprintf(f, "  \"hardware_threads\": %d,\n  \"build_type\": \"%s\",\n", hardware,
+               R2C2_BUILD_TYPE);
+  std::fprintf(f, "  \"reps_per_thread_count\": %d,\n", kReps);
   std::fprintf(f, "  \"identical_across_threads\": %s,\n", identical ? "true" : "false");
   std::fprintf(f, "  \"timing_gates\": \"%s\",\n",
                hardware < 2 ? "SKIPPED (1-core host)" : gates_ok ? "pass" : "FAIL");
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ThreadResult& r = results[i];
+    std::string runs;
+    for (const double ms : r.wall_runs_ms) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%s%.2f", runs.empty() ? "" : ", ", ms);
+      runs += buf;
+    }
     std::fprintf(f,
-                 "    {\"threads\": %d, \"wall_ms\": %.2f, \"speedup\": %.2f, "
-                 "\"utility_gbps\": %.4f, \"evaluations\": %d, \"solves\": %llu, "
-                 "\"spec_children\": %llu, \"spec_aborts\": %llu, \"memo_hits\": %llu, "
-                 "\"oversubscribed\": %s}%s\n",
-                 r.threads, r.wall_ms, serial.wall_ms / r.wall_ms, r.result.utility / 1e9,
-                 r.result.evaluations, static_cast<unsigned long long>(r.result.stats.solves),
-                 static_cast<unsigned long long>(r.result.stats.spec_children),
-                 static_cast<unsigned long long>(r.result.stats.spec_aborts),
+                 "    {\"threads\": %d, \"wall_ms\": %.2f, \"wall_ms_runs\": [%s], "
+                 "\"speedup\": %.2f, \"utility_gbps\": %.4f, \"evaluations\": %d, "
+                 "\"solves\": %llu, \"memo_hits\": %llu, \"oversubscribed\": %s}%s\n",
+                 r.threads, r.wall_ms, runs.c_str(), serial.wall_ms / r.wall_ms,
+                 r.result.utility / 1e9, r.result.evaluations,
+                 static_cast<unsigned long long>(r.result.stats.solves),
                  static_cast<unsigned long long>(r.result.stats.memo_hits),
                  r.oversubscribed ? "true" : "false", i + 1 < results.size() ? "," : "");
   }

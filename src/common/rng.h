@@ -72,12 +72,9 @@ class Rng {
 
   bool bernoulli(double p) { return uniform() < p; }
 
-  // Full generator state, for snapshot/restore (src/snapshot/). A generator
-  // constructed with any seed and then set_state(other.state()) produces
-  // exactly the output stream `other` would have produced.
-  const std::array<std::uint64_t, 4>& state() const { return state_; }
-  void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
-  // Snapshot visit (src/snapshot/visit.h): the four state words.
+  // Snapshot visit (src/snapshot/visit.h): the four state words. A
+  // generator constructed with any seed and then loaded from another's
+  // archived state produces exactly the output stream the other would have.
   template <class V, class S>
   static void visit(V& v, S& s) {
     for (auto& word : s.state_) v(word);

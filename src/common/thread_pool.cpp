@@ -116,13 +116,6 @@ void ThreadPool::submit_on(int lane, std::function<void(int)> fn) {
   push_task(lane, std::move(fn));
 }
 
-bool ThreadPool::try_help() {
-  Task task;
-  if (!pop_or_steal(0, task)) return false;
-  run_task(std::move(task), 0);
-  return true;
-}
-
 void ThreadPool::submit(std::function<void()> fn) {
   // Round-robin across worker lanes (lane 0 only when there are none, so
   // tasks don't sit waiting for the owner to call wait()).

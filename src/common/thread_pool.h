@@ -81,13 +81,6 @@ class ThreadPool {
   // which state it touches.
   void submit_on(int lane, std::function<void(int)> fn);
 
-  // Pops and runs one queued task on the calling thread (as lane 0), if
-  // any; returns false when every queue is empty. Lets the pool's owner
-  // make incremental progress on queued work while it is blocked on an
-  // out-of-band condition (e.g. a speculative-execution dependency) rather
-  // than committing to a full wait(). Owner thread only, like submit().
-  bool try_help();
-
   struct Stats {
     std::uint64_t executed = 0;  // tasks run to completion, by any lane
     std::uint64_t stolen = 0;    // tasks popped from another lane's queue

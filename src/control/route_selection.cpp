@@ -1,7 +1,6 @@
 #include "control/route_selection.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <exception>
@@ -70,12 +69,10 @@ struct Evaluator {
   int evaluations = 0;
   detail::FitnessMemo memo;
   std::vector<Lane> lanes;
-  // Solver stats. The atomics are bumped from concurrently running lane
-  // tasks (relaxed: sums commute); the spec_* counters are caller-only.
+  // Solver stats, bumped from concurrently running lane tasks (relaxed:
+  // sums commute).
   std::atomic<std::uint64_t> solves{0};
   std::atomic<std::uint64_t> delta_genes{0};
-  std::uint64_t spec_children = 0;
-  std::uint64_t spec_aborts = 0;
 
   double utility_of(const std::vector<Bps>& rates) const {
     switch (config.utility) {
@@ -120,32 +117,14 @@ struct Evaluator {
     return utility;
   }
 
-  // --- asynchronous batch evaluation -------------------------------------
-  //
-  // One generation's fitness work, launched lane-by-lane so the caller can
-  // overlap speculative breeding of the next generation with the worker
-  // lanes draining this one. Lifecycle: begin_batch (dedup, schedule,
-  // launch workers, evaluate the caller's own share) -> [caller overlaps
-  // other work, polling `done`] -> finish_batch (join, memo commit,
-  // evaluation accounting). The Batch must stay at a stable address until
-  // finish_batch returns — worker tasks hold a reference.
-  struct Batch {
-    struct Miss {
-      const Genotype* genes = nullptr;
-      std::uint64_t hash = 0;
-      double fitness = 0.0;
-    };
-    static constexpr std::size_t kHit = static_cast<std::size_t>(-1);
-    std::vector<Miss> misses;
-    std::vector<std::size_t> ref;  // population index -> miss index, or kHit
-    // done[u] set (release) after misses[u].fitness is written; the
-    // caller's acquire load makes that value safe to read mid-batch.
-    std::vector<std::atomic<std::uint32_t>> done;
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_m;
-    bool launched = false;  // worker tasks in flight (finish must join)
+  // One generation's misses: the deduped genotypes the memo lacks, in
+  // first-occurrence order, and where each population slot reads its value.
+  struct Miss {
+    const Genotype* genes = nullptr;
+    std::uint64_t hash = 0;
+    double fitness = 0.0;
   };
+  static constexpr std::size_t kHit = static_cast<std::size_t>(-1);
 
   // Deterministic nearest-Hamming scheduler: walks the deduped misses in
   // order and assigns each to the lane whose *projected* genotype (its
@@ -155,7 +134,7 @@ struct Evaluator {
   // genes, so chaining nearest neighbours keeps per-lane deltas small.
   // Runs on the caller with deterministic inputs; the plan depends on the
   // lane count but the resulting fitness values do not.
-  std::vector<std::vector<std::uint32_t>> schedule(const std::vector<Batch::Miss>& misses) {
+  std::vector<std::vector<std::uint32_t>> schedule(const std::vector<Miss>& misses) {
     const std::size_t n_lanes = lanes.size();
     std::vector<std::vector<std::uint32_t>> plan(n_lanes);
     if (n_lanes == 1 || misses.size() <= 1) {
@@ -184,30 +163,18 @@ struct Evaluator {
     return plan;
   }
 
-  void run_lane_list(Batch& b, std::size_t lane, const std::vector<std::uint32_t>& list) {
-    try {
-      for (const std::uint32_t u : list) {
-        b.misses[u].fitness = lane_fitness(lanes[lane], *b.misses[u].genes);
-        b.done[u].store(1, std::memory_order_release);
-      }
-    } catch (...) {
-      bool expected = false;
-      if (b.failed.compare_exchange_strong(expected, true)) {
-        std::lock_guard lock(b.error_m);
-        b.error = std::current_exception();
-      }
-    }
-  }
-
-  // Dedups the population against the memo and in-batch repeats (exactly
-  // the serial one-at-a-time memo pattern: first occurrence = miss, every
-  // repeat = hit), schedules the misses across lanes, launches the worker
-  // lanes' lists, and evaluates lane 0's list on the caller. Memo hits are
-  // final in `fit` on return; miss slots are filled by finish_batch.
-  void begin_batch(Batch& b, std::span<const Genotype> population, std::vector<double>& fit) {
+  // Scores one generation: dedups the population against the memo and
+  // in-batch repeats (exactly the serial one-at-a-time memo pattern: first
+  // occurrence = miss, every repeat = hit), schedules the misses across
+  // lanes, runs the worker lanes' lists on the pool and lane 0's on the
+  // caller, then commits memo insertions and the evaluation count in miss
+  // (dedup) order. That order is fixed by the population alone, so memo
+  // contents, eviction order and `evaluations` are identical at every
+  // thread count.
+  void fitness_batch(std::span<const Genotype> population, std::vector<double>& fit) {
     fit.resize(population.size());
-    b.ref.assign(population.size(), Batch::kHit);
-    b.misses.clear();
+    std::vector<std::size_t> ref(population.size(), kHit);  // slot -> miss index
+    std::vector<Miss> misses;
     for (std::size_t i = 0; i < population.size(); ++i) {
       const Genotype& g = population[i];
       const std::uint64_t h = detail::FitnessMemo::hash(g);
@@ -217,55 +184,50 @@ struct Evaluator {
         continue;
       }
       std::size_t u = 0;
-      for (; u < b.misses.size(); ++u) {
-        if (b.misses[u].hash == h && *b.misses[u].genes == g) break;
+      for (; u < misses.size(); ++u) {
+        if (misses[u].hash == h && *misses[u].genes == g) break;
       }
-      if (u == b.misses.size()) {
+      if (u == misses.size()) {
         memo.record_miss();
-        b.misses.push_back(Batch::Miss{&g, h, 0.0});
+        misses.push_back(Miss{&g, h, 0.0});
       } else {
         memo.record_hit();  // in-batch repeat: a hit under serial semantics
       }
-      b.ref[i] = u;
+      ref[i] = u;
     }
-    b.done = std::vector<std::atomic<std::uint32_t>>(b.misses.size());
-    const auto plan = schedule(b.misses);
-    if (pool != nullptr) {
-      for (std::size_t l = 1; l < plan.size(); ++l) {
-        if (plan[l].empty()) continue;
-        b.launched = true;
-        pool->submit_on(static_cast<int>(l), [this, &b, l, list = plan[l]](int) {
-          run_lane_list(b, l, list);
-        });
-      }
-    }
-    run_lane_list(b, 0, plan[0]);
-  }
 
-  // Joins the batch, commits memo insertions and the evaluation count in
-  // miss (dedup) order — the order is fixed by the population alone, so
-  // memo contents, eviction order and `evaluations` are identical at
-  // every thread count — then fills the miss slots of `fit`.
-  void finish_batch(Batch& b, std::vector<double>& fit) {
-    if (b.launched) pool->wait();
-    if (b.failed.load(std::memory_order_acquire)) {
-      std::lock_guard lock(b.error_m);
-      std::rethrow_exception(b.error);
+    // A worker lane's exception is captured here and rethrown on the
+    // caller once every lane has stopped touching `misses`.
+    std::exception_ptr error;
+    std::mutex error_m;
+    const auto run_list = [&](std::size_t lane, const std::vector<std::uint32_t>& list) {
+      try {
+        for (const std::uint32_t u : list) {
+          misses[u].fitness = lane_fitness(lanes[lane], *misses[u].genes);
+        }
+      } catch (...) {
+        std::lock_guard lock(error_m);
+        if (!error) error = std::current_exception();
+      }
+    };
+    const auto plan = schedule(misses);
+    bool launched = false;
+    for (std::size_t l = 1; l < plan.size(); ++l) {
+      if (plan[l].empty()) continue;
+      launched = true;
+      pool->submit_on(static_cast<int>(l), [&run_list, &plan, l](int) { run_list(l, plan[l]); });
     }
-    for (const Batch::Miss& m : b.misses) {
+    run_list(0, plan[0]);
+    if (launched) pool->wait();
+    if (error) std::rethrow_exception(error);
+
+    for (const Miss& m : misses) {
       memo.insert(m.hash, *m.genes, m.fitness);
       ++evaluations;
     }
-    for (std::size_t i = 0; i < b.ref.size(); ++i) {
-      if (b.ref[i] != Batch::kHit) fit[i] = b.misses[b.ref[i]].fitness;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      if (ref[i] != kHit) fit[i] = misses[ref[i]].fitness;
     }
-  }
-
-  // Synchronous convenience wrapper (final-population accounting).
-  void fitness_batch(std::span<const Genotype> population, std::vector<double>& fit) {
-    Batch b;
-    begin_batch(b, population, fit);
-    finish_batch(b, fit);
   }
 };
 
@@ -292,8 +254,6 @@ SelectionResult finish(Evaluator& eval, const Genotype& best, double utility,
   result.stats.delta_genes = eval.delta_genes.load(std::memory_order_relaxed);
   result.stats.memo_hits = ms.hits;
   result.stats.memo_evictions = ms.evictions;
-  result.stats.spec_children = eval.spec_children;
-  result.stats.spec_aborts = eval.spec_aborts;
 #if R2C2_TRACING_ENABLED
   if (config.metrics != nullptr) {
     obs::MetricsRegistry& m = *config.metrics;
@@ -304,8 +264,6 @@ SelectionResult finish(Evaluator& eval, const Genotype& best, double utility,
     m.gauge("ga.memo.bytes").set(static_cast<double>(ms.bytes));
     m.counter("ga.eval.solves").add(result.stats.solves);
     m.counter("ga.eval.delta_genes").add(result.stats.delta_genes);
-    m.counter("ga.eval.spec_children").add(eval.spec_children);
-    m.counter("ga.eval.spec_aborts").add(eval.spec_aborts);
   }
 #endif
   return result;
@@ -358,96 +316,9 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
   double best_fit = -std::numeric_limits<double>::infinity();
   int stall = 0;
 
-  // Speculative breeding: while the lanes drain generation G's misses, the
-  // caller breeds generation G+1's children against the values it already
-  // has (memo hits plus landed misses), predicting the rest. Only the
-  // tournament *outcomes* consume fitness, and no RNG draw count depends
-  // on fitness, so a mispredicted child is re-bred ("aborted") afterwards
-  // by replaying its RNG window against the final values — which restores
-  // exactly the serial breeding result without disturbing any later
-  // child's draws.
-  struct Dep {
-    std::uint32_t a = 0, b = 0;  // tournament contestants
-    bool picked_a = false;
-    bool final = false;  // both values were final at speculation time
-  };
-  struct SpecChild {
-    Genotype genes;
-    std::array<std::uint64_t, 4> rng_state{};  // before this child's draws
-    std::vector<Dep> deps;
-  };
-
   for (int gen = 0; gen < config.max_generations && stall < config.stall_generations; ++gen) {
     if (memetic && config.eval_budget > 0 && eval.evaluations >= config.eval_budget) break;
-    Evaluator::Batch batch;
-    eval.begin_batch(batch, population, fit);
-
-    const int elite = std::min<int>(config.elite, static_cast<int>(population.size()));
-    const std::size_t n_children = population.size() - static_cast<std::size_t>(elite);
-    // Prediction for still-in-flight fitness values. Accuracy only affects
-    // the abort rate (re-breeding cost), never the result.
-    const double predicted = std::isinf(best_fit) ? 0.0 : best_fit;
-
-    auto spec_value = [&](std::size_t i, bool& is_final) -> double {
-      const std::size_t u = batch.ref[i];
-      if (u == Evaluator::Batch::kHit) {
-        is_final = true;
-        return fit[i];
-      }
-      if (batch.done[u].load(std::memory_order_acquire) == 0) {
-        // Opportunistically run one queued lane list before predicting.
-        if (pool != nullptr) pool->try_help();
-        if (batch.done[u].load(std::memory_order_acquire) == 0) {
-          is_final = false;
-          return predicted;
-        }
-      }
-      is_final = true;
-      return batch.misses[u].fitness;
-    };
-
-    // Breeds one child from `r`; speculative mode reads through spec_value
-    // and records deps, replay mode reads the final `fit` directly.
-    auto breed_child = [&](Rng& r, SpecChild* spec) -> Genotype {
-      const auto tourney = [&]() -> std::size_t {
-        const std::size_t a = r.uniform_int(population.size());
-        const std::size_t b = r.uniform_int(population.size());
-        bool fa_final = true, fb_final = true;
-        double fa, fb;
-        if (spec != nullptr) {
-          fa = spec_value(a, fa_final);
-          fb = spec_value(b, fb_final);
-        } else {
-          fa = fit[a];
-          fb = fit[b];
-        }
-        const bool pick_a = fa >= fb;
-        if (spec != nullptr) {
-          spec->deps.push_back(Dep{static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b),
-                                   pick_a, fa_final && fb_final});
-        }
-        return pick_a ? a : b;
-      };
-      const Genotype& pa = population[tourney()];
-      const Genotype& pb = population[tourney()];
-      Genotype child(pa.size());
-      for (std::size_t i = 0; i < child.size(); ++i) {
-        child[i] = r.bernoulli(0.5) ? pa[i] : pb[i];
-        if (r.bernoulli(config.mutation_prob)) {
-          child[i] = static_cast<std::uint8_t>(r.uniform_int(n_choices));
-        }
-      }
-      return child;
-    };
-
-    std::vector<SpecChild> spec(n_children);
-    for (SpecChild& c : spec) {
-      c.rng_state = rng.state();
-      c.genes = breed_child(rng, &c);
-    }
-    eval.spec_children += n_children;
-
-    eval.finish_batch(batch, fit);
+    eval.fitness_batch(population, fit);
 
     // Rank by fitness, best first.
     std::vector<std::size_t> rank(population.size());
@@ -462,10 +333,11 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
       ++stall;
     }
 
-    // Elite copies for the next generation (possibly improved below).
-    std::vector<Genotype> elites;
-    elites.reserve(static_cast<std::size_t>(elite));
-    for (int e = 0; e < elite; ++e) elites.push_back(population[rank[static_cast<std::size_t>(e)]]);
+    // Elite copies open the next generation (possibly improved below).
+    const int elite = std::min<int>(config.elite, static_cast<int>(population.size()));
+    std::vector<Genotype> next;
+    next.reserve(population.size());
+    for (int e = 0; e < elite; ++e) next.push_back(population[rank[static_cast<std::size_t>(e)]]);
 
     if (memetic && n_choices >= 2) {
       // Memetic step: first-improvement single-gene flips on the top
@@ -478,7 +350,7 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
       Rng ls_rng(splitmix64(fork));
       const int k = std::min<int>(config.ls_elites, elite);
       for (int e = 0; e < k; ++e) {
-        Genotype& g = elites[static_cast<std::size_t>(e)];
+        Genotype& g = next[static_cast<std::size_t>(e)];
         double gf = fit[rank[static_cast<std::size_t>(e)]];
         for (int step = 0; step < config.ls_steps; ++step) {
           if (config.eval_budget > 0 && eval.evaluations >= config.eval_budget) break;
@@ -501,30 +373,26 @@ SelectionResult run_population_search(const Router& router, std::span<const Flow
       }
     }
 
-    // Commit/abort the speculated children: a child is committed when
-    // every tournament it ran would pick the same parent under the final
-    // values; otherwise its RNG window is replayed against them.
-    for (SpecChild& c : spec) {
-      bool committed = true;
-      for (const Dep& d : c.deps) {
-        if (d.final) continue;
-        if ((fit[d.a] >= fit[d.b]) != d.picked_a) {
-          committed = false;
-          break;
+    // Children fill the rest: two binary tournaments on `fit` pick the
+    // parents, then uniform crossover with per-gene mutation, all drawn
+    // from the GA stream.
+    const auto tourney = [&]() -> std::size_t {
+      const std::size_t a = rng.uniform_int(population.size());
+      const std::size_t b = rng.uniform_int(population.size());
+      return fit[a] >= fit[b] ? a : b;
+    };
+    while (next.size() < population.size()) {
+      const Genotype& pa = population[tourney()];
+      const Genotype& pb = population[tourney()];
+      Genotype child(pa.size());
+      for (std::size_t i = 0; i < child.size(); ++i) {
+        child[i] = rng.bernoulli(0.5) ? pa[i] : pb[i];
+        if (rng.bernoulli(config.mutation_prob)) {
+          child[i] = static_cast<std::uint8_t>(rng.uniform_int(n_choices));
         }
       }
-      if (!committed) {
-        ++eval.spec_aborts;
-        Rng replay;
-        replay.set_state(c.rng_state);
-        c.genes = breed_child(replay, nullptr);
-      }
+      next.push_back(std::move(child));
     }
-
-    std::vector<Genotype> next;
-    next.reserve(population.size());
-    for (Genotype& e : elites) next.push_back(std::move(e));
-    for (SpecChild& c : spec) next.push_back(std::move(c.genes));
     population = std::move(next);
   }
   // Account for the final population (it may contain the best genotype).

@@ -219,10 +219,10 @@ struct SelectionConfig {
   // Fitness-evaluation parallelism for the GA. Each generation's distinct
   // un-memoized genotypes are assigned to per-lane clones of the
   // waterfill problem by a deterministic nearest-Hamming scheduler (so
-  // per-lane deltas stay small) and evaluated concurrently, overlapped
-  // with speculative breeding of the next generation; the result
-  // (assignment, utility, evaluation count) is bit-identical for every
-  // thread count, including 1 (see DESIGN.md "Threading model").
+  // per-lane deltas stay small) and evaluated concurrently; the next
+  // generation is bred on the caller once every value is final. The
+  // result (assignment, utility, evaluation count) is bit-identical for
+  // every thread count, including 1 (see DESIGN.md "Threading model").
   // threads <= 1 runs serially. When `pool` is non-null it is used and
   // `threads` is ignored; otherwise a temporary pool with threads - 1
   // workers is spun up for the call.
@@ -242,16 +242,18 @@ struct SelectionResult {
 
   // Evaluator diagnostics. `solves` equals the number of waterfill solves
   // (= memo misses) and is part of the determinism contract like
-  // `evaluations`; the remaining fields depend on the lane schedule and
-  // on evaluation/speculation timing, so they legitimately vary with
-  // thread count and are excluded from bit-identity gates.
+  // `evaluations`; `delta_genes` depends on the lane schedule, so it
+  // legitimately varies with thread count and is excluded from
+  // bit-identity gates.
   struct Stats {
     std::uint64_t solves = 0;
     std::uint64_t delta_genes = 0;     // set_choice flips applied across lanes
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_evictions = 0;
-    std::uint64_t spec_children = 0;   // children bred speculatively
-    std::uint64_t spec_aborts = 0;     // re-bred after a misprediction
+    // Always 0. Kept only because the rack benchmark (perfbench) still
+    // reports them as layer metrics.
+    std::uint64_t spec_children = 0;
+    std::uint64_t spec_aborts = 0;
   };
   Stats stats;
 };

@@ -30,13 +30,6 @@ thread_local std::vector<int> t_from;
 thread_local std::vector<int> t_to;
 thread_local std::vector<int> t_dir;
 
-std::uint64_t ecmp_seed(NodeId src, NodeId dst, FlowId flow) {
-  // The path is a pure hash of (flow, src, dst): TCP needs all packets of a
-  // flow on one path, and different flows between the same endpoints should
-  // spread over different shortest paths (Section 5.2).
-  return (static_cast<std::uint64_t>(flow) << 32) | (static_cast<std::uint64_t>(src) << 16) | dst;
-}
-
 // True for the algorithms served by the tile cache instead of a dense table.
 bool is_tiled(RouteAlg alg) { return alg == RouteAlg::kVlb || alg == RouteAlg::kWlb; }
 
@@ -103,12 +96,9 @@ void Router::pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path
     case RouteAlg::kWlb:
       wlb_walk(out, dst, rng);
       return;
-    case RouteAlg::kEcmp: {
-      std::uint64_t seed = ecmp_seed(src, dst, flow);
-      Rng path_rng(splitmix64(seed));
-      rps_walk(out, dst, path_rng);
+    case RouteAlg::kEcmp:
+      ecmp_walk(out, dst, flow);
       return;
-    }
   }
   throw std::invalid_argument("unknown routing algorithm");
 }
@@ -151,12 +141,9 @@ void Router::pick_path_into(RouteAlg alg, NodeId src, NodeId dst, Rng& rng, Path
         wlb_walk(out, dst, rng);
       }
       return;
-    case RouteAlg::kEcmp: {
-      std::uint64_t seed = ecmp_seed(src, dst, flow);
-      Rng path_rng(splitmix64(seed));
-      rps_walk(out, dst, path_rng);  // path is a pure flow hash; never biased
+    case RouteAlg::kEcmp:
+      ecmp_walk(out, dst, flow);  // path is a pure flow hash; never biased
       return;
-    }
   }
   throw std::invalid_argument("unknown routing algorithm");
 }
@@ -169,19 +156,9 @@ const LinkWeights& Router::link_weights(RouteAlg alg, NodeId src, NodeId dst, Fl
     // query; no lock, no steady-state allocation.
     static thread_local LinkWeights weights;
     static thread_local Path path;
-    weights.clear();
-    if (src == dst) return weights;
-    std::uint64_t seed = ecmp_seed(src, dst, flow);
-    Rng path_rng(splitmix64(seed));
-    path.clear();
-    path.push_back(src);
-    rps_walk(path, dst, path_rng);
-    weights.reserve(path.size() - 1);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const LinkId link = topo_.find_link(path[i], path[i + 1]);
-      assert(link != kInvalidLink);
-      weights.push_back({link, 1.0});
-    }
+    path.assign(1, src);
+    ecmp_walk(path, dst, flow);
+    single_path_weights(path, weights);
     return weights;
   }
   const auto a = static_cast<std::size_t>(alg);
@@ -193,7 +170,7 @@ const LinkWeights& Router::link_weights(RouteAlg alg, NodeId src, NodeId dst, Fl
   // First touch: derive outside any lock (derivations recurse — VLB
   // averages RPS phases) and publish with a CAS. A racing thread computes
   // the identical entry; exactly one wins, the loser's copy is dropped.
-  auto* fresh = new LinkWeights(compute_weights(alg, src, dst, flow));
+  auto* fresh = new LinkWeights(compute_weights(alg, src, dst));
   const LinkWeights* expected = nullptr;
   if (slot.compare_exchange_strong(expected, fresh, std::memory_order_release,
                                    std::memory_order_acquire)) {
@@ -274,7 +251,7 @@ const LinkWeights& Router::tiled_weights(RouteAlg alg, NodeId src, NodeId dst) c
   tile_misses_.fetch_add(1, std::memory_order_relaxed);
   // First touch: derive outside the lock (recurses into the dense RPS
   // base) and CAS-publish into the pinned tile, same as the dense tables.
-  auto* fresh = new LinkWeights(compute_weights(alg, src, dst, 0));
+  auto* fresh = new LinkWeights(compute_weights(alg, src, dst));
   const LinkWeights* expected = nullptr;
   if (slot.compare_exchange_strong(expected, fresh, std::memory_order_release,
                                    std::memory_order_acquire)) {
@@ -361,24 +338,20 @@ void Router::precompute(RouteAlg alg, ThreadPool* pool) const {
   }
 }
 
-LinkWeights Router::compute_weights(RouteAlg alg, NodeId src, NodeId dst, FlowId flow) const {
+LinkWeights Router::compute_weights(RouteAlg alg, NodeId src, NodeId dst) const {
   if (src == dst) return {};
   switch (alg) {
     case RouteAlg::kRps: return rps_weights(src, dst);
     case RouteAlg::kDor: {
       Path path{src};
       dor_walk(path, dst);
-      return single_path_weights(path);
+      LinkWeights weights;
+      single_path_weights(path, weights);
+      return weights;
     }
     case RouteAlg::kVlb: return vlb_weights(src, dst);
     case RouteAlg::kWlb: return wlb_weights(src, dst);
-    case RouteAlg::kEcmp: {
-      std::uint64_t seed = ecmp_seed(src, dst, flow);
-      Rng path_rng(splitmix64(seed));
-      Path path{src};
-      rps_walk(path, dst, path_rng);
-      return single_path_weights(path);
-    }
+    case RouteAlg::kEcmp: break;  // flow-keyed: link_weights derives it per call
   }
   throw std::invalid_argument("unknown routing algorithm");
 }
@@ -393,6 +366,16 @@ void Router::rps_walk(Path& path, NodeId to, Rng& rng) const {
     at = t_next[rng.uniform_int(t_next.size())];
     path.push_back(at);
   }
+}
+
+void Router::ecmp_walk(Path& path, NodeId to, FlowId flow) const {
+  // The path is a pure hash of (flow, src, dst): TCP needs all packets of a
+  // flow on one path, and different flows between the same endpoints should
+  // spread over different shortest paths (Section 5.2).
+  std::uint64_t seed = (static_cast<std::uint64_t>(flow) << 32) |
+                       (static_cast<std::uint64_t>(path.back()) << 16) | to;
+  Rng path_rng(splitmix64(seed));
+  rps_walk(path, to, path_rng);
 }
 
 void Router::rps_walk_biased(Path& path, NodeId to, Rng& rng, const SprayBias& bias) const {
@@ -533,15 +516,14 @@ void Router::wlb_walk(Path& path, NodeId to, Rng& rng) const {
 
 // --- Flow-level link weights ---
 
-LinkWeights Router::single_path_weights(const Path& path) const {
-  LinkWeights weights;
+void Router::single_path_weights(const Path& path, LinkWeights& weights) const {
+  weights.clear();
   weights.reserve(path.size() - 1);
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const LinkId link = topo_.find_link(path[i], path[i + 1]);
     assert(link != kInvalidLink);
     weights.push_back({link, 1.0});
   }
-  return weights;
 }
 
 LinkWeights Router::rps_weights(NodeId src, NodeId dst) const {

@@ -208,14 +208,18 @@ class Router {
   TileStats tile_stats() const;
 
  private:
-  LinkWeights compute_weights(RouteAlg alg, NodeId src, NodeId dst, FlowId flow) const;
+  // Weights of a tabled (flow-independent) algorithm for one pair.
+  LinkWeights compute_weights(RouteAlg alg, NodeId src, NodeId dst) const;
   LinkWeights rps_weights(NodeId src, NodeId dst) const;
-  LinkWeights single_path_weights(const Path& path) const;
+  // Replaces `weights` with one full-weight entry per hop of `path`.
+  void single_path_weights(const Path& path, LinkWeights& weights) const;
   LinkWeights vlb_weights(NodeId src, NodeId dst) const;
   LinkWeights wlb_weights(NodeId src, NodeId dst) const;
 
   // Path builders append the walk from the last node already in `path`.
   void rps_walk(Path& path, NodeId to, Rng& rng) const;
+  // The RPS walk drawn from a generator seeded by (flow, src, dst) alone.
+  void ecmp_walk(Path& path, NodeId to, FlowId flow) const;
   // Biased spray: weight 1/(1 + penalty + gain*congestion) per candidate
   // link; falls back to the uniform draw at hops where every candidate's
   // combined bias is zero. The penalty-only walk is the congestion-free

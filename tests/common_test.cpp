@@ -7,6 +7,8 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "snapshot/archive.h"
+#include "snapshot/visit.h"
 
 namespace r2c2 {
 namespace {
@@ -293,9 +295,22 @@ TEST(Checksum, EmptyInput) { EXPECT_EQ(internet_checksum({}), 0xffff); }
 
 // --- Generator state capture/restore (snapshot support) ---
 
+// Saves `rng` through Rng::visit into a one-section archive and loads it
+// back into a generator constructed from `other_seed`.
+Rng archive_round_trip(const Rng& rng, std::uint64_t other_seed) {
+  snapshot::ArchiveWriter w;
+  snapshot::Writer out(w);
+  out.section("rng", [&] { out(rng); });
+  snapshot::ArchiveReader r(w.finish());
+  snapshot::Reader in(r);
+  Rng restored(other_seed);
+  in.section("rng", [&] { in(restored); });
+  return restored;
+}
+
 TEST(Rng, StateRoundTripReproducesExactStream) {
   Rng source(12345);
-  // Burn an arbitrary prefix mixing every draw type, so the captured state
+  // Burn an arbitrary prefix mixing every draw type, so the archived state
   // is mid-stream, not a fresh seed expansion.
   for (int i = 0; i < 1000; ++i) {
     source();
@@ -304,31 +319,26 @@ TEST(Rng, StateRoundTripReproducesExactStream) {
     source.bernoulli(0.3);
     source.exponential(5.0);
   }
-  const auto saved = source.state();
 
-  // A generator seeded differently, then restored, must continue the exact
-  // raw 64-bit stream...
-  Rng restored(999);
-  restored.set_state(saved);
-  Rng reference(1);
-  reference.set_state(saved);
+  // A generator seeded differently, then loaded from the archive, must
+  // continue the exact raw 64-bit stream of the saved one...
+  Rng restored = archive_round_trip(source, 999);
+  Rng reference = source;
   for (int i = 0; i < 4096; ++i) {
     ASSERT_EQ(restored(), reference()) << "raw stream diverged at draw " << i;
   }
 
   // ...and the derived draws (which consume different numbers of raw words,
   // e.g. rejection sampling in uniform_int) track bit for bit too.
-  Rng a(7), b(8);
-  a.set_state(saved);
-  b.set_state(saved);
+  Rng a = archive_round_trip(source, 7);
+  Rng b = source;
   for (int i = 0; i < 4096; ++i) {
     ASSERT_EQ(a.uniform_int(1000), b.uniform_int(1000)) << i;
     ASSERT_EQ(a.uniform(), b.uniform()) << i;
     ASSERT_EQ(a.exponential(2.0), b.exponential(2.0)) << i;
   }
   // And the original keeps producing that same continuation.
-  Rng c(5);
-  c.set_state(saved);
+  Rng c = archive_round_trip(source, 5);
   ASSERT_EQ(source(), c());
 }
 

@@ -70,9 +70,10 @@ TEST(ParallelDeterminism, GaIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, UtilityKindsAreBitIdenticalAcrossThreadCounts) {
-  // The speculative-breeding path must stay invisible for every utility:
   // kMinThroughput and the blended scalarization produce many fitness
-  // ties and near-ties, the worst case for tournament mispredictions.
+  // ties and near-ties, so tournaments and the rank sort lean on exact
+  // equality: every lane must score a genotype to the same bits, whatever
+  // the thread count.
   const Topology topo = make_torus({4, 4, 4}, 10 * kGbps, 100);
   const Router router(topo);
   const auto flows = permutation_like_flows(topo, 60, 0x5eed);

@@ -557,7 +557,9 @@ TEST_P(ResumeBitIdentical, DigestsAndMetricsMatchStraightRun) {
 
   // The restored state digest equals the straight-through digest at snap_at.
   for (const auto& p : full.digests.points) {
-    if (p.at == snap_at) EXPECT_EQ(fresh.simulator().state_digest(), p.digest);
+    if (p.at == snap_at) {
+      EXPECT_EQ(fresh.simulator().state_digest(), p.digest);
+    }
   }
 
   const ReplayResult tail = fresh.run();
